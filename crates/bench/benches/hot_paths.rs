@@ -5,7 +5,7 @@
 //! measures their end-to-end effect.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use sleepers::client::{MobileUnit, MuConfig, ReplacementPolicy, TsHandler};
+use sleepers::client::{MobileUnit, MuConfig, ReplacementPolicy, StaticHandler, StaticSpec};
 use sleepers::server::{Database, ItemTable, ReportBuilder, TsBuilder, UpdateEngine};
 use sleepers::sim::{MasterSeed, SimDuration, SimTime, StreamId};
 use std::cmp::Reverse;
@@ -53,7 +53,7 @@ fn bench_report_apply_per_mu(c: &mut Criterion) {
                             piggyback_hits: false,
                             item_universe: universe,
                         },
-                        Box::new(TsHandler::new(latency, 100)),
+                        Box::new(StaticHandler::new(StaticSpec::ts(latency, 100))),
                         &mut rng,
                     );
                     for item in 0..50 {

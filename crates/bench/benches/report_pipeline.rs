@@ -3,7 +3,7 @@
 //! primitives — the per-interval hot path of every strategy.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use sleepers::client::{AtHandler, Cache, ReportHandler, SigHandler, TsHandler};
+use sleepers::client::{Cache, ReportHandler, StaticHandler, StaticSpec};
 use sleepers::server::{AtBuilder, Database, ReportBuilder, SigBuilder, TsBuilder, UpdateEngine};
 use sleepers::signature::{item_signature, SigPlan, SubsetFamily};
 use sleepers::sim::{MasterSeed, SimDuration, SimTime, StreamId};
@@ -75,7 +75,7 @@ fn bench_handlers(c: &mut Criterion) {
         b.iter_batched(
             cache_seed,
             |mut cache| {
-                let mut h = TsHandler::new(SimDuration::from_secs(10.0), 50);
+                let mut h = StaticHandler::new(StaticSpec::ts(SimDuration::from_secs(10.0), 50));
                 black_box(h.process(&mut cache, &ts_payload, Some(SimTime::from_secs(990.0))))
             },
             BatchSize::SmallInput,
@@ -87,7 +87,7 @@ fn bench_handlers(c: &mut Criterion) {
         b.iter_batched(
             cache_seed,
             |mut cache| {
-                let mut h = AtHandler::new(SimDuration::from_secs(10.0));
+                let mut h = StaticHandler::new(StaticSpec::at(SimDuration::from_secs(10.0)));
                 black_box(h.process(&mut cache, &at_payload, Some(SimTime::from_secs(990.0))))
             },
             BatchSize::SmallInput,
@@ -101,7 +101,7 @@ fn bench_handlers(c: &mut Criterion) {
     group.bench_function("sig/cache=50", |b| {
         b.iter_batched(
             || {
-                let mut h = SigHandler::new(sig_builder.decoder());
+                let mut h = StaticHandler::new(StaticSpec::sig(sig_builder.decoder()));
                 let mut cache = cache_seed();
                 // Prime the tracked signatures with one report.
                 let _ = h.process(&mut cache, &sig_payload, None);

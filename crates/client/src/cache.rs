@@ -20,11 +20,13 @@
 //! capacity miss (the copy was still fresh — one more slot would have
 //! made it a hit) or an unavoidable one (a report proved the copy stale
 //! anyway). Reports retire ghosts through
-//! [`Cache::ghosts_mark_stale`] / [`Cache::ghost_mark_stale_item`].
+//! [`CacheRow::ghosts_mark_stale`] / [`CacheRow::ghost_mark_stale_item`].
 
 use sw_capacity::{victim_key, EntryMeta, GhostFate, ReplacementPolicy};
 use sw_server::{ItemId, ItemTable};
 use sw_sim::{SimDuration, SimTime};
+
+use crate::kernel::CacheRow;
 
 /// One cached item.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -266,41 +268,6 @@ impl Cache {
         }
     }
 
-    /// Consumes the ghost of `item`, if any: what a requery learned
-    /// about the evicted copy. Called on every miss by the unit driver.
-    pub fn take_ghost(&mut self, item: ItemId) -> Option<GhostFate> {
-        self.ghosts.as_mut()?.remove(item).map(|g| {
-            if g.stale {
-                GhostFate::Stale
-            } else {
-                GhostFate::Fresh
-            }
-        })
-    }
-
-    /// Marks every still-fresh ghost for which `proven_stale(item,
-    /// eviction_stamp)` returns true as stale — the per-report retire
-    /// pass for strategies that name updated items (TS entries).
-    pub fn ghosts_mark_stale<F: FnMut(ItemId, SimTime) -> bool>(&mut self, mut proven_stale: F) {
-        if let Some(ghosts) = &mut self.ghosts {
-            ghosts.for_each_mut(|item, g| {
-                if !g.stale && proven_stale(item, g.stamp) {
-                    g.stale = true;
-                }
-            });
-        }
-    }
-
-    /// Marks the ghost of `item` stale, if one exists — the per-id
-    /// retire pass for strategies that broadcast plain id lists (AT).
-    pub fn ghost_mark_stale_item(&mut self, item: ItemId) {
-        if let Some(ghosts) = &mut self.ghosts {
-            if let Some(g) = ghosts.get_mut(item) {
-                g.stale = true;
-            }
-        }
-    }
-
     /// Number of remembered evicted items (test hook).
     pub fn ghost_len(&self) -> usize {
         self.ghosts.as_ref().map_or(0, |g| g.len())
@@ -355,6 +322,66 @@ impl Cache {
         let before = self.entries.len();
         self.entries.retain(|k, e| !predicate(k, e));
         before - self.entries.len()
+    }
+}
+
+/// The boxed unit's storage layout for the report rules of
+/// [`crate::kernel`].
+impl CacheRow for Cache {
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn clear(&mut self) {
+        Cache::clear(self)
+    }
+
+    fn retain_restamp<F: FnMut(ItemId, SimTime) -> bool>(&mut self, t_i: SimTime, mut keep: F) {
+        self.entries.retain_mut(|item, entry| {
+            let kept = keep(item, entry.timestamp);
+            if kept {
+                entry.timestamp = t_i;
+            }
+            kept
+        });
+    }
+
+    fn remove(&mut self, item: ItemId) -> bool {
+        self.entries.remove(item).is_some()
+    }
+
+    fn restamp_all(&mut self, t_i: SimTime) {
+        Cache::restamp_all(self, t_i)
+    }
+
+    fn ghosts_mark_stale<F: FnMut(ItemId, SimTime) -> bool>(&mut self, mut proven_stale: F) {
+        if let Some(ghosts) = &mut self.ghosts {
+            ghosts.for_each_mut(|item, g| {
+                if !g.stale && proven_stale(item, g.stamp) {
+                    g.stale = true;
+                }
+            });
+        }
+    }
+
+    fn ghost_mark_stale_item(&mut self, item: ItemId) {
+        if let Some(g) = self.ghosts.as_mut().and_then(|ghosts| ghosts.get_mut(item)) {
+            g.stale = true;
+        }
+    }
+
+    fn read(&mut self, item: ItemId) -> bool {
+        self.get(item).is_some()
+    }
+
+    fn take_ghost(&mut self, item: ItemId) -> Option<GhostFate> {
+        self.ghosts.as_mut()?.remove(item).map(|g| {
+            if g.stale {
+                GhostFate::Stale
+            } else {
+                GhostFate::Fresh
+            }
+        })
     }
 }
 

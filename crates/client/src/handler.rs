@@ -1,27 +1,23 @@
-//! The MU-side report-processing algorithms of §3.
+//! The boxed unit's report-handler seam.
 //!
-//! Each strategy is a [`ReportHandler`] invoked when the unit hears the
-//! report broadcast at `T_i`. The handler mutates the cache exactly as
-//! the paper's pseudo-code prescribes and reports what happened. The
-//! caller (the [`crate::mu::MobileUnit`]) owns `T_l` — "a variable that
-//! indicates the last time it received a report" — and passes it in.
+//! A boxed [`crate::mu::MobileUnit`] processes each report through a
+//! [`ReportHandler`] invoked when the unit hears the report broadcast
+//! at `T_i`. The handler mutates the cache as the strategy prescribes
+//! and reports what happened. The caller owns `T_l` ("a variable that
+//! indicates the last time it received a report") and passes it in.
 //!
-//! Safety discipline: TS and AT "will only allow false alarm errors and
-//! will always correctly inform the client if his copy is invalid" (§2).
-//! SIG is probabilistic: a changed item escapes only if its combined
-//! signatures collide (probability ≈ 2^−g each), plus a one-interval
-//! blind spot for items fetched mid-interval whose subsets were not
-//! previously tracked (see [`SigHandler`] docs); both are measured, not
-//! assumed, by the integration tests.
-
-use std::sync::Arc;
+//! Every static strategy (TS, AT, SIG, NC, hybrid, group) uses
+//! [`StaticHandler`], a thin wrapper over the rules in
+//! [`crate::kernel`], which the columnar fleet runs too. The trait
+//! stays for the strategies with per-client feedback state (adaptive
+//! TS, quasi-delay), which implement it in their own crates.
 
 use sw_server::ItemId;
-use sw_signature::{CombinedSignature, SyndromeDecoder};
-use sw_sim::{SimDuration, SimTime};
+use sw_sim::SimTime;
 use sw_wireless::FramePayload;
 
 use crate::cache::Cache;
+use crate::kernel::{self, PreparedReport, SigState, StaticSpec};
 
 /// Converts a wire timestamp (integer micros) back to [`SimTime`].
 #[inline]
@@ -83,387 +79,39 @@ pub trait ReportHandler {
     }
 }
 
-/// Broadcasting Timestamps — client algorithm of §3.1.
+/// The client half of every static strategy (TS, AT, SIG, NC and the
+/// §10 hybrid and group extensions): the [`crate::kernel`] rule for its
+/// [`StaticSpec`], run over a boxed unit's [`Cache`].
 #[derive(Debug, Clone)]
-pub struct TsHandler {
-    window: SimDuration,
+pub struct StaticHandler {
+    spec: StaticSpec,
+    /// Signature tracking, for the strategies that decode signatures.
+    sig: Option<SigState>,
 }
 
-impl TsHandler {
-    /// Creates the handler with window `w = k·L` (must match the
-    /// server's [`sw_server::TsBuilder`]).
-    pub fn new(latency: SimDuration, k: u32) -> Self {
-        assert!(k >= 1, "TS window multiple k must be at least 1");
-        TsHandler {
-            window: latency.scaled(k as f64),
-        }
+impl StaticHandler {
+    /// Creates the handler for `spec` (which must match the server's
+    /// report builder).
+    pub fn new(spec: StaticSpec) -> Self {
+        let sig = spec.decoder().map(|d| SigState::new(d.plan().m as usize));
+        StaticHandler { spec, sig }
     }
 
-    /// Creates the handler with an explicit window.
-    pub fn with_window(window: SimDuration) -> Self {
-        assert!(!window.is_zero(), "TS window must be positive");
-        TsHandler { window }
-    }
-
-    /// The window `w`.
-    pub fn window(&self) -> SimDuration {
-        self.window
-    }
-}
-
-impl ReportHandler for TsHandler {
-    fn name(&self) -> &'static str {
-        "TS"
-    }
-
-    fn process(
-        &mut self,
-        cache: &mut Cache,
-        payload: &FramePayload,
-        t_l: Option<SimTime>,
-    ) -> ProcessOutcome {
-        let (report_ts_micros, entries) = match payload {
-            FramePayload::TimestampReport {
-                report_ts_micros,
-                entries,
-            } => (*report_ts_micros, entries),
-            other => panic!("TS handler fed a non-TS report: {other:?}"),
-        };
-        let t_i = time_from_micros(report_ts_micros);
-
-        // if (T_i − T_l > w) { drop the entire cache }
-        let gap_too_large = match t_l {
-            Some(t_l) => t_i.saturating_duration_since(t_l) > self.window,
-            None => !cache.is_empty(), // never heard a report: nothing provable
-        };
-        if gap_too_large {
-            cache.clear();
-            return ProcessOutcome {
-                report_time: t_i,
-                dropped_all: true,
-                invalidated: Vec::new(),
-                revalidated: 0,
-            };
-        }
-
-        // Report builders emit entries in ascending item order, so a
-        // binary search replaces the per-report hash table; an unsorted
-        // payload (hand-built in tests) falls back to sorting a copy.
-        let sorted_copy: Vec<(u64, u64)>;
-        let reported: &[(u64, u64)] = if entries.windows(2).all(|w| w[0].0 < w[1].0) {
-            entries
-        } else {
-            sorted_copy = {
-                let mut v = entries.clone();
-                v.sort_unstable_by_key(|&(item, _)| item);
-                v
-            };
-            &sorted_copy
-        };
-        let mut invalidated = Vec::new();
-        // for every item j in the MU cache:
-        //   if [j, t_j] in U_i { if t_cache < t_j drop else t_cache := T_i }
-        //   (not mentioned ⇒ unchanged within w ⇒ t_cache := T_i)
-        cache.retain_entries(|item, entry| {
-            let cached_micros = time_to_micros(entry.timestamp);
-            match reported
-                .binary_search_by_key(&item, |&(reported_item, _)| reported_item)
-                .ok()
-                .map(|ix| reported[ix].1)
-            {
-                Some(t_j) if cached_micros < t_j => {
-                    invalidated.push(item);
-                    false
-                }
-                _ => {
-                    entry.timestamp = t_i;
-                    true
-                }
-            }
-        });
-        // Ascending already for dense caches; hashed ones visit in
-        // arbitrary order, so sort for deterministic output.
-        invalidated.sort_unstable();
-        // Ghost retire: a report entry [j, t_j] with t_j newer than an
-        // evicted copy's stamp proves that copy would have been dropped
-        // anyway — the eviction cost nothing. Sound because any update
-        // inside the window w appears in the report.
-        cache.ghosts_mark_stale(|item, stamp| {
-            let stamp_micros = time_to_micros(stamp);
-            reported
-                .binary_search_by_key(&item, |&(reported_item, _)| reported_item)
-                .ok()
-                .is_some_and(|ix| stamp_micros < reported[ix].1)
-        });
-        let revalidated = cache.len();
-        ProcessOutcome {
-            report_time: t_i,
-            dropped_all: false,
-            invalidated,
-            revalidated,
-        }
-    }
-}
-
-/// Amnesic Terminals — client algorithm of §3.2.
-#[derive(Debug, Clone)]
-pub struct AtHandler {
-    latency: SimDuration,
-}
-
-impl AtHandler {
-    /// Creates the handler for broadcast latency `L`.
-    pub fn new(latency: SimDuration) -> Self {
-        assert!(!latency.is_zero(), "latency must be positive");
-        AtHandler { latency }
-    }
-}
-
-impl ReportHandler for AtHandler {
-    fn name(&self) -> &'static str {
-        "AT"
-    }
-
-    fn process(
-        &mut self,
-        cache: &mut Cache,
-        payload: &FramePayload,
-        t_l: Option<SimTime>,
-    ) -> ProcessOutcome {
-        let (report_ts_micros, ids) = match payload {
-            FramePayload::AmnesicReport {
-                report_ts_micros,
-                ids,
-            } => (*report_ts_micros, ids),
-            other => panic!("AT handler fed a non-AT report: {other:?}"),
-        };
-        let t_i = time_from_micros(report_ts_micros);
-
-        // if (T_i − T_l > L) { drop the entire cache }
-        // A missed report means a whole interval of changes was never
-        // heard — the amnesic client cannot reconstruct it.
-        let epsilon = SimDuration::from_secs(self.latency.as_secs() * 1e-9);
-        let gap_too_large = match t_l {
-            Some(t_l) => t_i.saturating_duration_since(t_l) > self.latency + epsilon,
-            None => !cache.is_empty(),
-        };
-        if gap_too_large {
-            cache.clear();
-            return ProcessOutcome {
-                report_time: t_i,
-                dropped_all: true,
-                invalidated: Vec::new(),
-                revalidated: 0,
-            };
-        }
-
-        let mut invalidated = Vec::new();
-        for &item in ids {
-            if cache.remove(item).is_some() {
-                invalidated.push(item);
-            }
-            // A reported id changed this interval, so any evicted copy
-            // of it is provably stale: the eviction cost nothing.
-            cache.ghost_mark_stale_item(item);
-        }
-        // Surviving entries are verified as of T_i.
-        cache.restamp_all(t_i);
-        let revalidated = cache.len();
-        ProcessOutcome {
-            report_time: t_i,
-            dropped_all: false,
-            invalidated,
-            revalidated,
-        }
-    }
-}
-
-/// Signatures — client algorithm of §3.3.
-///
-/// The handler tracks, between reports, the combined signatures of every
-/// subset containing a cached item. On a report it syndrome-decodes:
-/// subsets whose tracked signature differs from the broadcast are
-/// unmatched; cached items in more than `K·m·p · m⁻¹`… i.e. more than
-/// the plan's count threshold of unmatched subsets are dropped. Tracked
-/// signatures are then refreshed to the broadcast values and re-scoped
-/// to the surviving cache contents.
-///
-/// **Blind spot (documented deviation):** an item fetched uplink during
-/// the interval joins the tracked set only at the *next* report; a
-/// subset of that item not already tracked cannot witness an update to
-/// it that lands between the fetch and that report. The stale window is
-/// at most one interval and occurs with probability ≤ 1 − e^(−μL) per
-/// fetch; the integration suite measures it. TS/AT have no such window.
-#[derive(Debug, Clone)]
-pub struct SigHandler {
-    decoder: SyndromeDecoder,
-    /// Tracked combined signature per subset index, dense over the
-    /// plan's `m` subsets (`None` = untracked). Subset indices are
-    /// dense by construction, so no hashing on the per-report path.
-    tracked: Vec<Option<CombinedSignature>>,
-    tracked_count: usize,
-    /// The signatures of the last heard report — an [`Arc`] share of
-    /// the broadcast payload, never a copy — kept so that uplink
-    /// fetches within the current interval can adopt tracking for their
-    /// subsets (see [`ReportHandler::on_fetch`]).
-    last_report: Arc<Vec<CombinedSignature>>,
-    /// Unmatched-subset count from the last diagnosis (telemetry).
-    last_unmatched: u32,
-}
-
-impl SigHandler {
-    /// Creates the handler sharing the server's decoder configuration.
-    pub fn new(decoder: SyndromeDecoder) -> Self {
-        let m = decoder.family().m() as usize;
-        SigHandler {
-            decoder,
-            tracked: vec![None; m],
-            tracked_count: 0,
-            last_report: Arc::new(Vec::new()),
-            last_unmatched: 0,
-        }
-    }
-
-    /// Number of subset signatures currently tracked.
+    /// Number of subset signatures currently tracked (0 for strategies
+    /// without signatures).
     pub fn tracked_subsets(&self) -> usize {
-        self.tracked_count
+        self.sig.as_ref().map_or(0, |s| s.tracked_count)
     }
 }
 
-impl ReportHandler for SigHandler {
+impl ReportHandler for StaticHandler {
     fn name(&self) -> &'static str {
-        "SIG"
+        self.spec.name()
     }
 
     fn on_fetch(&mut self, item: ItemId) {
-        if self.last_report.is_empty() {
-            return; // fetched before any report was heard
-        }
-        for j in self.decoder.family().subsets_of(item) {
-            let slot = &mut self.tracked[j as usize];
-            if slot.is_none() {
-                *slot = Some(self.last_report[j as usize]);
-                self.tracked_count += 1;
-            }
-        }
-    }
-
-    fn process(
-        &mut self,
-        cache: &mut Cache,
-        payload: &FramePayload,
-        _t_l: Option<SimTime>,
-    ) -> ProcessOutcome {
-        let (report_ts_micros, signatures) = match payload {
-            FramePayload::SignatureReport {
-                report_ts_micros,
-                signatures,
-                ..
-            } => (*report_ts_micros, signatures),
-            other => panic!("SIG handler fed a non-SIG report: {other:?}"),
-        };
-        let t_i = time_from_micros(report_ts_micros);
-
-        let cached_items = cache.sorted_items();
-        let tracked = &self.tracked;
-        let diagnosis = self.decoder.diagnose(
-            &cached_items,
-            |j| tracked.get(j as usize).copied().flatten(),
-            signatures,
-        );
-        self.last_unmatched = diagnosis.unmatched_subsets;
-        for &item in &diagnosis.invalidated {
-            cache.remove(item);
-        }
-        // Re-scope tracking to the surviving cache and adopt the
-        // broadcast signatures ("the combined uncached signatures are
-        // considered equal to the ones that are being broadcast").
-        self.tracked.iter_mut().for_each(|slot| *slot = None);
-        self.tracked_count = 0;
-        for item in cache.items() {
-            for j in self.decoder.family().subsets_of(item) {
-                let slot = &mut self.tracked[j as usize];
-                if slot.is_none() {
-                    self.tracked_count += 1;
-                }
-                *slot = Some(signatures[j as usize]);
-            }
-        }
-        // Survivors are valid as of T_i with probability P_nf.
-        cache.restamp_all(t_i);
-        self.last_report = Arc::clone(signatures);
-        let revalidated = cache.len();
-        ProcessOutcome {
-            report_time: t_i,
-            dropped_all: false,
-            invalidated: diagnosis.invalidated,
-            revalidated,
-        }
-    }
-
-    fn last_unmatched_subsets(&self) -> Option<u32> {
-        Some(self.last_unmatched)
-    }
-}
-
-/// Hybrid weighted reports — client half of the §10 extension.
-///
-/// Hot cached items follow AT rules: a missed report drops them (the
-/// amnesic id list cannot be reconstructed), and a listed id is
-/// dropped. Cold cached items follow SIG rules: syndrome decoding over
-/// the cold-only combined signatures, nap-proof. One report serves
-/// both.
-#[derive(Debug, Clone)]
-pub struct HybridHandler {
-    latency: SimDuration,
-    hot: sw_server::HotSet,
-    decoder: SyndromeDecoder,
-    /// Dense per-subset tracking, as in [`SigHandler`].
-    tracked: Vec<Option<CombinedSignature>>,
-    tracked_count: usize,
-    last_report: Arc<Vec<CombinedSignature>>,
-    /// Unmatched-subset count from the last cold-half diagnosis.
-    last_unmatched: u32,
-}
-
-impl HybridHandler {
-    /// Creates the handler; `hot` and `decoder` must match the server's
-    /// [`sw_server::HybridSigBuilder`].
-    pub fn new(latency: SimDuration, hot: sw_server::HotSet, decoder: SyndromeDecoder) -> Self {
-        assert!(!latency.is_zero(), "latency must be positive");
-        let m = decoder.family().m() as usize;
-        HybridHandler {
-            latency,
-            hot,
-            decoder,
-            tracked: vec![None; m],
-            tracked_count: 0,
-            last_report: Arc::new(Vec::new()),
-            last_unmatched: 0,
-        }
-    }
-
-    /// Number of cold-subset signatures currently tracked.
-    pub fn tracked_subsets(&self) -> usize {
-        self.tracked_count
-    }
-}
-
-impl ReportHandler for HybridHandler {
-    fn name(&self) -> &'static str {
-        "HYB"
-    }
-
-    fn on_fetch(&mut self, item: ItemId) {
-        if self.hot.contains(item) || self.last_report.is_empty() {
-            return;
-        }
-        for j in self.decoder.family().subsets_of(item) {
-            let slot = &mut self.tracked[j as usize];
-            if slot.is_none() {
-                *slot = Some(self.last_report[j as usize]);
-                self.tracked_count += 1;
-            }
+        if let Some(sig) = &mut self.sig {
+            kernel::on_fetch(&self.spec, sig.row(), item);
         }
     }
 
@@ -473,215 +121,19 @@ impl ReportHandler for HybridHandler {
         payload: &FramePayload,
         t_l: Option<SimTime>,
     ) -> ProcessOutcome {
-        let (report_ts_micros, hot_ids, signatures) = match payload {
-            FramePayload::HybridReport {
-                report_ts_micros,
-                hot_ids,
-                signatures,
-                ..
-            } => (*report_ts_micros, hot_ids, signatures),
-            other => panic!("hybrid handler fed a wrong report: {other:?}"),
-        };
-        let t_i = time_from_micros(report_ts_micros);
-        let mut invalidated = Vec::new();
-
-        // Hot half: AT semantics, scoped to hot items only.
-        let epsilon = SimDuration::from_secs(self.latency.as_secs() * 1e-9);
-        let missed_report = match t_l {
-            Some(t_l) => t_i.saturating_duration_since(t_l) > self.latency + epsilon,
-            None => true,
-        };
-        let hot = &self.hot;
-        if missed_report {
-            let mut dropped: Vec<ItemId> = cache
-                .sorted_items()
-                .into_iter()
-                .filter(|&i| hot.contains(i))
-                .collect();
-            for &i in &dropped {
-                cache.remove(i);
-            }
-            invalidated.append(&mut dropped);
-        } else {
-            for &id in hot_ids {
-                if cache.remove(id).is_some() {
-                    invalidated.push(id);
-                }
-            }
-        }
-
-        // Cold half: SIG semantics over the remaining cached items.
-        let cold_items: Vec<ItemId> = cache
-            .sorted_items()
-            .into_iter()
-            .filter(|&i| !hot.contains(i))
-            .collect();
-        let tracked = &self.tracked;
-        let diagnosis = self.decoder.diagnose(
-            &cold_items,
-            |j| tracked.get(j as usize).copied().flatten(),
-            signatures,
-        );
-        self.last_unmatched = diagnosis.unmatched_subsets;
-        for &item in &diagnosis.invalidated {
-            cache.remove(item);
-            invalidated.push(item);
-        }
-        self.tracked.iter_mut().for_each(|slot| *slot = None);
-        self.tracked_count = 0;
-        for item in cache.items() {
-            if self.hot.contains(item) {
-                continue;
-            }
-            for j in self.decoder.family().subsets_of(item) {
-                let slot = &mut self.tracked[j as usize];
-                if slot.is_none() {
-                    self.tracked_count += 1;
-                }
-                *slot = Some(signatures[j as usize]);
-            }
-        }
-        self.last_report = Arc::clone(signatures);
-
-        cache.restamp_all(t_i);
-        let revalidated = cache.len();
-        ProcessOutcome {
-            report_time: t_i,
-            dropped_all: false,
-            invalidated,
-            revalidated,
-        }
+        let report = PreparedReport::new(&self.spec, payload);
+        kernel::process(&report, cache, t_l, self.sig.as_mut().map(SigState::row))
     }
 
     fn last_unmatched_subsets(&self) -> Option<u32> {
-        Some(self.last_unmatched)
-    }
-}
-
-/// Aggregate group-granularity reports — client half of the §10
-/// "changes reported only per group of items" extension.
-///
-/// AT semantics lifted to groups: a missed report drops everything; a
-/// listed group drops every cached member (group-level false alarms —
-/// safe, coarse).
-#[derive(Debug, Clone)]
-pub struct GroupHandler {
-    latency: SimDuration,
-    map: sw_server::GroupMap,
-}
-
-impl GroupHandler {
-    /// Creates the handler; `map` must match the server's
-    /// [`sw_server::GroupReportBuilder`].
-    pub fn new(latency: SimDuration, map: sw_server::GroupMap) -> Self {
-        assert!(!latency.is_zero(), "latency must be positive");
-        GroupHandler { latency, map }
-    }
-}
-
-impl ReportHandler for GroupHandler {
-    fn name(&self) -> &'static str {
-        "GR"
-    }
-
-    fn process(
-        &mut self,
-        cache: &mut Cache,
-        payload: &FramePayload,
-        t_l: Option<SimTime>,
-    ) -> ProcessOutcome {
-        let (report_ts_micros, group_ids) = match payload {
-            FramePayload::AmnesicReport {
-                report_ts_micros,
-                ids,
-            } => (*report_ts_micros, ids),
-            other => panic!("group handler fed a wrong report: {other:?}"),
-        };
-        let t_i = time_from_micros(report_ts_micros);
-        let epsilon = SimDuration::from_secs(self.latency.as_secs() * 1e-9);
-        let gap_too_large = match t_l {
-            Some(t_l) => t_i.saturating_duration_since(t_l) > self.latency + epsilon,
-            None => !cache.is_empty(),
-        };
-        if gap_too_large {
-            cache.clear();
-            return ProcessOutcome {
-                report_time: t_i,
-                dropped_all: true,
-                invalidated: Vec::new(),
-                revalidated: 0,
-            };
-        }
-        // The group id list is tiny and (from the builder) sorted; a
-        // binary search over a sorted copy beats hashing per item.
-        let changed = {
-            let mut v = group_ids.clone();
-            v.sort_unstable();
-            v
-        };
-        let map = self.map;
-        let mut invalidated: Vec<ItemId> = Vec::new();
-        cache.retain_entries(|i, entry| {
-            if changed.binary_search(&map.group_of(i)).is_ok() {
-                invalidated.push(i);
-                false
-            } else {
-                entry.timestamp = t_i;
-                true
-            }
-        });
-        invalidated.sort_unstable();
-        let revalidated = cache.len();
-        ProcessOutcome {
-            report_time: t_i,
-            dropped_all: false,
-            invalidated,
-            revalidated,
-        }
-    }
-}
-
-/// The no-caching baseline: the unit never keeps anything, so every
-/// query goes uplink (§4.2).
-#[derive(Debug, Clone, Default)]
-pub struct NoCacheHandler;
-
-impl ReportHandler for NoCacheHandler {
-    fn name(&self) -> &'static str {
-        "NC"
-    }
-
-    fn process(
-        &mut self,
-        cache: &mut Cache,
-        payload: &FramePayload,
-        _t_l: Option<SimTime>,
-    ) -> ProcessOutcome {
-        let t_i = match payload {
-            FramePayload::AmnesicReport {
-                report_ts_micros, ..
-            } => time_from_micros(*report_ts_micros),
-            FramePayload::TimestampReport {
-                report_ts_micros, ..
-            } => time_from_micros(*report_ts_micros),
-            FramePayload::SignatureReport {
-                report_ts_micros, ..
-            } => time_from_micros(*report_ts_micros),
-            other => panic!("NC handler fed a non-report frame: {other:?}"),
-        };
-        cache.clear();
-        ProcessOutcome {
-            report_time: t_i,
-            dropped_all: false,
-            invalidated: Vec::new(),
-            revalidated: 0,
-        }
+        self.sig.as_ref().map(|s| s.last_unmatched)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sw_sim::SimDuration;
 
     fn ts_report(t_i: f64, entries: Vec<(u64, f64)>) -> FramePayload {
         FramePayload::TimestampReport {
@@ -702,7 +154,7 @@ mod tests {
 
     #[test]
     fn ts_drops_updated_item() {
-        let mut h = TsHandler::new(SimDuration::from_secs(10.0), 10);
+        let mut h = StaticHandler::new(StaticSpec::ts(SimDuration::from_secs(10.0), 10));
         let mut c = Cache::unbounded();
         c.insert(1, 10, SimTime::from_secs(10.0));
         c.insert(2, 20, SimTime::from_secs(10.0));
@@ -723,7 +175,7 @@ mod tests {
     fn ts_keeps_item_updated_before_fetch() {
         // Cache stamped at 16 (uplink fetch), item's last change was 15:
         // the cached copy already reflects it.
-        let mut h = TsHandler::new(SimDuration::from_secs(10.0), 10);
+        let mut h = StaticHandler::new(StaticSpec::ts(SimDuration::from_secs(10.0), 10));
         let mut c = Cache::unbounded();
         c.insert(1, 99, SimTime::from_secs(16.0));
         let out = h.process(
@@ -737,7 +189,7 @@ mod tests {
 
     #[test]
     fn ts_window_gap_drops_cache() {
-        let mut h = TsHandler::new(SimDuration::from_secs(10.0), 2); // w = 20
+        let mut h = StaticHandler::new(StaticSpec::ts(SimDuration::from_secs(10.0), 2)); // w = 20
         let mut c = Cache::unbounded();
         c.insert(1, 10, SimTime::from_secs(10.0));
         // Last report heard at 10; this one at 40: gap 30 > 20.
@@ -748,7 +200,7 @@ mod tests {
 
     #[test]
     fn ts_gap_exactly_w_is_kept() {
-        let mut h = TsHandler::new(SimDuration::from_secs(10.0), 2); // w = 20
+        let mut h = StaticHandler::new(StaticSpec::ts(SimDuration::from_secs(10.0), 2)); // w = 20
         let mut c = Cache::unbounded();
         c.insert(1, 10, SimTime::from_secs(10.0));
         let out = h.process(&mut c, &ts_report(30.0, vec![]), Some(SimTime::from_secs(10.0)));
@@ -758,7 +210,7 @@ mod tests {
 
     #[test]
     fn at_drops_reported_ids() {
-        let mut h = AtHandler::new(SimDuration::from_secs(10.0));
+        let mut h = StaticHandler::new(StaticSpec::at(SimDuration::from_secs(10.0)));
         let mut c = Cache::unbounded();
         c.insert(1, 10, SimTime::from_secs(10.0));
         c.insert(2, 20, SimTime::from_secs(10.0));
@@ -769,7 +221,7 @@ mod tests {
 
     #[test]
     fn at_missed_report_drops_cache() {
-        let mut h = AtHandler::new(SimDuration::from_secs(10.0));
+        let mut h = StaticHandler::new(StaticSpec::at(SimDuration::from_secs(10.0)));
         let mut c = Cache::unbounded();
         c.insert(1, 10, SimTime::from_secs(10.0));
         // Heard the report at 10, slept through 20, hears 30: gap 20 > L.
@@ -780,7 +232,7 @@ mod tests {
 
     #[test]
     fn at_consecutive_reports_keep_cache() {
-        let mut h = AtHandler::new(SimDuration::from_secs(10.0));
+        let mut h = StaticHandler::new(StaticSpec::at(SimDuration::from_secs(10.0)));
         let mut c = Cache::unbounded();
         c.insert(1, 10, SimTime::from_secs(10.0));
         let out = h.process(&mut c, &at_report(20.0, vec![]), Some(SimTime::from_secs(10.0)));
@@ -791,8 +243,8 @@ mod tests {
 
     #[test]
     fn first_report_with_empty_cache_is_clean() {
-        let mut ts = TsHandler::new(SimDuration::from_secs(10.0), 5);
-        let mut at = AtHandler::new(SimDuration::from_secs(10.0));
+        let mut ts = StaticHandler::new(StaticSpec::ts(SimDuration::from_secs(10.0), 5));
+        let mut at = StaticHandler::new(StaticSpec::at(SimDuration::from_secs(10.0)));
         let mut c = Cache::unbounded();
         assert!(!ts.process(&mut c, &ts_report(10.0, vec![]), None).dropped_all);
         assert!(!at.process(&mut c, &at_report(10.0, vec![]), None).dropped_all);
@@ -800,7 +252,7 @@ mod tests {
 
     #[test]
     fn nc_never_retains() {
-        let mut h = NoCacheHandler;
+        let mut h = StaticHandler::new(StaticSpec::NoCache);
         let mut c = Cache::unbounded();
         c.insert(1, 1, SimTime::ZERO);
         let out = h.process(&mut c, &at_report(10.0, vec![]), None);
@@ -811,7 +263,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-TS report")]
     fn ts_rejects_wrong_payload() {
-        let mut h = TsHandler::new(SimDuration::from_secs(10.0), 5);
+        let mut h = StaticHandler::new(StaticSpec::ts(SimDuration::from_secs(10.0), 5));
         let mut c = Cache::unbounded();
         h.process(&mut c, &at_report(10.0, vec![]), None);
     }
@@ -822,7 +274,7 @@ mod tests {
         use sw_signature::{SigPlan, SubsetFamily, SyndromeDecoder};
         use sw_sim::SimDuration;
 
-        fn setup() -> (Database, HybridSigBuilder, HybridHandler) {
+        fn setup() -> (Database, HybridSigBuilder, StaticHandler) {
             let n = 300;
             let db = Database::new(n, |i| i + 9000, SimDuration::from_secs(1e6));
             let plan = SigPlan::new(8, 16, n, 0.05, SigPlan::DEFAULT_K);
@@ -835,11 +287,11 @@ mod tests {
                 family,
                 &db,
             );
-            let handler = HybridHandler::new(
+            let handler = StaticHandler::new(StaticSpec::hybrid(
                 latency,
                 HotSet::top_by_rank(20),
                 SyndromeDecoder::new(family, plan),
-            );
+            ));
             (db, builder, handler)
         }
 
@@ -903,12 +355,12 @@ mod tests {
         use sw_server::{Database, ReportBuilder, SigBuilder};
         use sw_signature::{SigPlan, SubsetFamily};
 
-        fn setup(n: u64) -> (Database, SigBuilder, SigHandler) {
+        fn setup(n: u64) -> (Database, SigBuilder, StaticHandler) {
             let db = Database::new(n, |i| i + 5000, SimDuration::from_secs(1e6));
             let plan = SigPlan::new(8, 16, n, 0.05, SigPlan::DEFAULT_K);
             let family = SubsetFamily::new(0xFEED, plan.m, plan.f);
             let builder = SigBuilder::new(plan, family, &db);
-            let handler = SigHandler::new(builder.decoder());
+            let handler = StaticHandler::new(StaticSpec::sig(builder.decoder()));
             (db, builder, handler)
         }
 

@@ -14,13 +14,14 @@
 //! * a unit that posed queries stays up to hear the closing report and
 //!   answer them, then may sleep again (§4's stated simplification).
 
-use sw_capacity::{GhostFate, ReplacementPolicy};
+use sw_capacity::ReplacementPolicy;
 use sw_server::{ItemId, ItemTable, PiggybackInfo, QueryAnswer};
 use sw_sim::{BernoulliIntervalProcess, PoissonProcess, RngStream, SimDuration, SimTime};
 use sw_wireless::FramePayload;
 
 use crate::cache::Cache;
 use crate::handler::{ProcessOutcome, ReportHandler};
+use crate::kernel;
 
 /// A query waiting for the next report.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -335,63 +336,29 @@ impl MobileUnit {
         assert!(self.awake, "a sleeping unit cannot hear a report");
         let outcome = self.handler.process(&mut self.cache, payload, self.t_l);
         let t_i = outcome.report_time;
-        // Latency accounting: every pending query is answered now.
-        for q in &self.pending {
-            let lat = t_i.saturating_duration_since(q.posed_at).as_secs();
-            self.stats.latency_sum_secs += lat;
-            if lat > self.stats.latency_max_secs {
-                self.stats.latency_max_secs = lat;
-            }
-        }
-        self.t_l = Some(t_i);
-        if outcome.dropped_all {
-            self.stats.cache_drops += 1;
-        }
-        self.stats.items_invalidated += outcome.invalidated.len() as u64;
         // Note: the piggyback history survives invalidation on purpose —
         // §8.1 defines it as "all the timestamps of requests ... satisfied
         // locally from the time of the previous uplink request", a query
         // history, not a property of the current cache incarnation.
-
-        // Answer Q_i: one event per distinct pending item.
-        let mut seen: Vec<ItemId> = self.pending.iter().map(|q| q.item).collect();
-        seen.sort_unstable();
-        seen.dedup();
-        let mut uplink = Vec::new();
-        for item in seen {
-            if self.cache.get(item).is_some() {
-                self.stats.hit_events += 1;
-                if self.config.piggyback_hits {
-                    self.local_hits
-                        .get_or_insert_with(item, Vec::new)
-                        .push(t_i);
-                }
-            } else {
-                self.stats.miss_events += 1;
-                match self.cache.take_ghost(item) {
-                    Some(GhostFate::Fresh) => {
-                        self.stats.capacity_misses += 1;
-                        self.stats.evicted_then_requeried += 1;
-                    }
-                    Some(GhostFate::Stale) => self.stats.evicted_then_requeried += 1,
-                    None => {}
-                }
-                let piggyback = if self.config.piggyback_hits {
+        kernel::answer_pending(
+            &mut self.cache,
+            outcome,
+            &mut self.stats,
+            &mut self.t_l,
+            &mut self.pending,
+            |item, hit| {
+                if !self.config.piggyback_hits {
+                    None
+                } else if hit {
+                    self.local_hits.get_or_insert_with(item, Vec::new).push(t_i);
+                    None
+                } else {
                     Some(PiggybackInfo {
                         local_hit_times: self.local_hits.remove(item).unwrap_or_default(),
                     })
-                } else {
-                    None
-                };
-                uplink.push((item, piggyback));
-            }
-        }
-        self.pending.clear();
-        IntervalReport {
-            awake: true,
-            outcome: Some(outcome),
-            uplink_requests: uplink,
-        }
+                }
+            },
+        )
     }
 
     /// Records that the awake unit listened for the interval-closing
@@ -470,7 +437,8 @@ impl MobileUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::handler::AtHandler;
+    use crate::handler::StaticHandler;
+    use crate::kernel::StaticSpec;
     use sw_sim::{MasterSeed, SimDuration, StreamId};
 
     fn at_report(t_i: f64, ids: Vec<u64>) -> FramePayload {
@@ -502,7 +470,7 @@ mod tests {
         };
         let mut qrng = MasterSeed::TEST.stream(StreamId::Queries { index: 0 });
         let srng = MasterSeed::TEST.stream(StreamId::Sleep { index: 0 });
-        let handler = Box::new(AtHandler::new(SimDuration::from_secs(10.0)));
+        let handler = Box::new(StaticHandler::new(StaticSpec::at(SimDuration::from_secs(10.0))));
         let mu = MobileUnit::new(cfg, handler, &mut qrng);
         (mu, qrng, srng)
     }

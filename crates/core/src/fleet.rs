@@ -7,13 +7,13 @@
 //! `Option<CacheEntry>`, and at 10⁵–10⁶ clients per cell the per-client
 //! tables alone dwarf RAM (a million 2000-item dense caches ≈ 48 GB).
 //!
-//! This module keeps the *same observable semantics* in parallel
-//! columns. The enabling invariant is that a client's cache is always a
-//! subset of its hotspot: queries draw only hotspot items, and entries
-//! are installed only by answers to queries. So every client owns a
-//! fixed block of `H = hotspot_size` *slots*, one per hotspot item in
-//! ascending id order, and the whole fleet is six flat vectors indexed
-//! by `client * H + slot`:
+//! This module stores the same client state in parallel columns. The
+//! enabling invariant is that a client's cache is always a subset of
+//! its hotspot: queries draw only hotspot items, and entries are
+//! installed only by answers to queries. So every client owns a fixed
+//! block of `H = hotspot_size` *slots*, one per hotspot item in
+//! ascending id order, and the whole fleet is a few flat vectors
+//! indexed by `client * H + slot`:
 //!
 //! * `slot_items` — the hotspot, sorted (slot → item id);
 //! * `valid` — one bit per slot (cached or not), `⌈H/64⌉` words/client;
@@ -23,100 +23,61 @@
 //!
 //! One report sweep is then a cache-friendly linear scan over the slot
 //! block, and disjoint client ranges of the columns can be swept by
-//! parallel workers with no aliasing. Slot order is ascending item id,
-//! which is exactly the iteration order of the dense `ItemTable` cache
-//! — the per-strategy kernels below therefore produce *bit-identical*
-//! outcomes (same invalidation lists in the same order, same stats,
-//! same uplink requests) as the `MobileUnit` path. The equivalence is
-//! pinned by `tests/columnar_equivalence.rs` and, transitively, by the
-//! figure-3 regression artifact, which now runs on this backend.
+//! parallel workers with no aliasing. The report rules themselves are
+//! not here: each client's slot block is a [`CacheRow`], and the sweep
+//! runs the same [`sw_client::kernel`] functions the boxed units run.
+//! Slot order is ascending item id, the iteration order of the dense
+//! cache, so the two layouts produce bit-identical outcomes.
+//! `tests/columnar_equivalence.rs` and `tests/golden_digests.rs` pin
+//! the two storage layouts against each other and against recorded
+//! results.
 //!
 //! Bounded caches ride along as optional columns ([`CapColumns`]):
 //! per-slot recency/frequency ticks, a per-client access clock, and a
 //! per-slot ghost byte remembering evicted-entry stamps. They are
 //! materialized only when the cell bounds its caches, so unbounded
-//! sweeps touch nothing new; when armed, eviction at install time and
-//! ghost classification at answer time transcribe
-//! `sw_client::Cache` exactly (the victim key's item-id tiebreak makes
-//! the minimum unique, so the slot scan and the boxed table walk pick
-//! the same victim).
+//! sweeps touch nothing new; when armed, eviction at install time
+//! transcribes `sw_client::Cache::insert` (the victim key's item-id
+//! tiebreak makes the minimum unique, so the slot scan and the boxed
+//! table walk pick the same victim).
 //!
-//! Eligibility is decided by the simulation driver: static report
-//! builders only (TS/AT/SIG/NC/HYB/GR), no piggyback histories,
-//! standalone cells (no mesh backbone). Everything else stays on the
-//! boxed-unit fleet.
+//! Eligibility is decided by the simulation driver: static strategies
+//! only (TS/AT/SIG/NC/HYB/GR), no piggyback histories, standalone cells
+//! (no mesh backbone). Everything else stays on the boxed-unit fleet.
 
 use std::sync::Arc;
 
-use sw_capacity::{victim_key, EntryMeta, ReplacementPolicy};
-use sw_client::handler::{time_from_micros, time_to_micros};
-use sw_client::{IntervalReport, MuStats, PendingQuery, ProcessOutcome};
-use sw_server::{GroupMap, HotSet, ItemId, QueryAnswer};
-use sw_signature::{CombinedSignature, SyndromeDecoder};
+use sw_capacity::{victim_key, EntryMeta, GhostFate, ReplacementPolicy};
+use sw_client::kernel::{self, CacheRow, PreparedReport, SigRow, StaticSpec};
+use sw_client::{MuStats, PendingQuery};
+use sw_server::{ItemId, QueryAnswer};
+use sw_signature::CombinedSignature;
 use sw_sim::{BernoulliIntervalProcess, PoissonProcess, RngStream, SimDuration, SimTime};
 use sw_wireless::FramePayload;
 
-/// Strategy-specific machinery shared by every client of the fleet
-/// (none of it is per-client except the SIG tracking columns, which
-/// live in [`SigColumns`] so the report sweep can borrow the two
-/// disjointly).
-pub(crate) enum ColumnarSpec {
-    /// §3.1 TS: window `w = k·L`.
-    Ts {
-        /// The window `w`.
-        window: SimDuration,
-    },
-    /// §3.2 AT: drop on any gap longer than `L`.
-    At {
-        /// The broadcast latency `L`.
-        latency: SimDuration,
-    },
-    /// §4.2 NC: never retain anything.
-    NoCache,
-    /// §10 group-granular AT.
-    Group {
-        /// The broadcast latency `L`.
-        latency: SimDuration,
-        /// The shared item → group partition.
-        map: GroupMap,
-    },
-    /// §3.3 SIG: syndrome decoding over tracked subset signatures.
-    Sig {
-        /// The shared decoder (family + plan).
-        decoder: SyndromeDecoder,
-    },
-    /// §10 hybrid: hot items AT-style, cold items SIG-style.
-    Hybrid {
-        /// The broadcast latency `L` (hot-half gap rule).
-        latency: SimDuration,
-        /// The shared hot set.
-        hot: HotSet,
-        /// The shared cold-half decoder.
-        decoder: SyndromeDecoder,
-    },
-}
+use crate::simulation::SweepItem;
 
-impl ColumnarSpec {
-    fn decoder(&self) -> Option<&SyndromeDecoder> {
-        match self {
-            ColumnarSpec::Sig { decoder } | ColumnarSpec::Hybrid { decoder, .. } => Some(decoder),
-            _ => None,
-        }
-    }
-}
-
-/// Per-client SIG/HYB tracking state, columnar: `m` signature slots per
-/// client (mirroring `SigHandler::tracked`), the tracked count, the
-/// last-heard report share, and the unmatched-subset telemetry.
+/// Per-client SIG/HYB tracking state, columnar: the fields of
+/// [`sw_client::kernel::SigState`], `m` signature slots per client.
 struct SigColumns {
     m: usize,
     /// Tracked combined signature per subset, stride `m` per client.
     tracked: Vec<Option<CombinedSignature>>,
     tracked_count: Vec<usize>,
-    /// The signatures of the last heard report (an `Arc` share of the
-    /// broadcast payload, as in `SigHandler::last_report`).
     last_report: Vec<Arc<Vec<CombinedSignature>>>,
     last_unmatched: Vec<u32>,
+}
+
+impl SigColumns {
+    fn chunk(&mut self) -> SigChunk<'_> {
+        SigChunk {
+            m: self.m,
+            tracked: &mut self.tracked,
+            tracked_count: &mut self.tracked_count,
+            last_report: &mut self.last_report,
+            last_unmatched: &mut self.last_unmatched,
+        }
+    }
 }
 
 /// Capacity configuration for a bounded fleet (mirrors the boxed
@@ -151,19 +112,18 @@ struct CapColumns {
     clock: Vec<u64>,
 }
 
-/// Bounded-cache columns of one contiguous client chunk.
-struct CapChunk<'a> {
-    last_used: &'a mut [u64],
-    use_count: &'a mut [u64],
-    ghost: &'a mut [u8],
-    ghost_stamps: &'a mut [SimTime],
-    clock: &'a mut [u64],
-}
-
-/// The AT-family gap tolerance: `L` plus the same relative epsilon the
-/// boxed handlers use.
-fn gap_limit(latency: SimDuration) -> SimDuration {
-    latency + SimDuration::from_secs(latency.as_secs() * 1e-9)
+impl CapColumns {
+    fn chunk(&mut self, h: usize) -> CapChunk<'_> {
+        CapChunk {
+            spec: self.spec,
+            h,
+            last_used: &mut self.last_used,
+            use_count: &mut self.use_count,
+            ghost: &mut self.ghost,
+            ghost_stamps: &mut self.ghost_stamps,
+            clock: &mut self.clock,
+        }
+    }
 }
 
 /// The columnar client fleet. See the module docs for the layout.
@@ -192,7 +152,7 @@ pub(crate) struct ColumnarFleet {
     stats: Vec<MuStats>,
     queries: Vec<PoissonProcess>,
     sleep: Vec<BernoulliIntervalProcess>,
-    spec: ColumnarSpec,
+    spec: StaticSpec,
     sig: Option<SigColumns>,
     cap: Option<CapColumns>,
 }
@@ -203,19 +163,16 @@ impl ColumnarFleet {
     /// the rng draw order matches the boxed-unit path exactly.
     pub(crate) fn new(
         hotspot_size: usize,
-        spec: ColumnarSpec,
+        spec: StaticSpec,
         capacity: Option<CapacitySpec>,
     ) -> Self {
         assert!(hotspot_size > 0, "hotspot cannot be empty");
-        let sig = spec.decoder().map(|d| {
-            let m = d.plan().m as usize;
-            SigColumns {
-                m,
-                tracked: Vec::new(),
-                tracked_count: Vec::new(),
-                last_report: Vec::new(),
-                last_unmatched: Vec::new(),
-            }
+        let sig = spec.decoder().map(|d| SigColumns {
+            m: d.plan().m as usize,
+            tracked: Vec::new(),
+            tracked_count: Vec::new(),
+            last_report: Vec::new(),
+            last_unmatched: Vec::new(),
         });
         let cap = capacity.map(|spec| {
             assert!(spec.cap > 0, "cache capacity must be positive");
@@ -273,14 +230,17 @@ impl ColumnarFleet {
         self.slot_items.extend_from_slice(&sorted);
         self.valid.extend(std::iter::repeat_n(0u64, self.words));
         self.values.extend(std::iter::repeat_n(0u64, self.h));
-        self.stamps.extend(std::iter::repeat_n(SimTime::ZERO, self.h));
+        self.stamps
+            .extend(std::iter::repeat_n(SimTime::ZERO, self.h));
         self.cached.push(0);
         self.t_l.push(None);
         self.awake.push(true);
         self.pending.push(Vec::new());
         self.stats.push(MuStats::default());
-        self.queries.push(PoissonProcess::new(total_rate, query_rng));
-        self.sleep.push(BernoulliIntervalProcess::new(sleep_probability));
+        self.queries
+            .push(PoissonProcess::new(total_rate, query_rng));
+        self.sleep
+            .push(BernoulliIntervalProcess::new(sleep_probability));
         if let Some(sig) = &mut self.sig {
             sig.tracked.extend(std::iter::repeat_n(None, sig.m));
             sig.tracked_count.push(0);
@@ -374,76 +334,16 @@ impl ColumnarFleet {
         }
     }
 
-    /// Slot of `item` in client `idx`'s hotspot block, if any.
-    fn slot_of(&self, idx: usize, item: ItemId) -> Option<usize> {
-        let block = &self.slot_items[idx * self.h..idx * self.h + self.h];
-        block.binary_search(&item).ok()
-    }
-
     /// Installs an uplink answer: cache the fresh copy under the
-    /// request's server timestamp and (SIG/HYB) adopt tracking for the
-    /// item's subsets from the last heard report.
+    /// request's server timestamp, evicting while over capacity, and
+    /// (SIG/HYB) adopt tracking for the item's subsets from the last
+    /// heard report.
     pub(crate) fn install_answer(&mut self, idx: usize, answer: QueryAnswer) {
-        let slot = self
-            .slot_of(idx, answer.item)
-            .expect("uplink answers only items the client queried, i.e. hotspot items");
-        let word = idx * self.words + slot / 64;
-        let bit = 1u64 << (slot % 64);
-        if self.valid[word] & bit == 0 {
-            self.valid[word] |= bit;
-            self.cached[idx] += 1;
-        }
-        self.values[idx * self.h + slot] = answer.value;
-        self.stamps[idx * self.h + slot] = answer.timestamp;
-        if let Some(cap) = &mut self.cap {
-            let base = idx * self.h;
-            cap.clock[idx] += 1;
-            cap.last_used[base + slot] = cap.clock[idx];
-            cap.use_count[base + slot] = 1;
-            // A fresh install clears any ghost of the item.
-            cap.ghost[base + slot] = 0;
-            while self.cached[idx] as usize > cap.spec.cap {
-                // Same victim scan as `Cache::insert`: the key ends in
-                // the item id, so the minimum is unique and the slot
-                // order cannot disagree with the boxed table walk.
-                let mut victim: Option<([u64; 4], usize)> = None;
-                for s in 0..self.h {
-                    if self.valid[idx * self.words + s / 64] & (1 << (s % 64)) == 0 {
-                        continue;
-                    }
-                    let key = victim_key(
-                        cap.spec.policy,
-                        EntryMeta {
-                            last_used: cap.last_used[base + s],
-                            use_count: cap.use_count[base + s],
-                            stamp: self.stamps[base + s],
-                        },
-                        answer.timestamp,
-                        cap.spec.window,
-                        self.slot_items[base + s],
-                    );
-                    if victim.is_none_or(|(best, _)| key < best) {
-                        victim = Some((key, s));
-                    }
-                }
-                let (_, vslot) = victim.expect("cache over capacity cannot be empty");
-                self.valid[idx * self.words + vslot / 64] &= !(1 << (vslot % 64));
-                self.cached[idx] -= 1;
-                cap.ghost[base + vslot] = 1;
-                cap.ghost_stamps[base + vslot] = self.stamps[base + vslot];
-                self.stats[idx].evictions += 1;
-            }
-        }
-        match &self.spec {
-            ColumnarSpec::Sig { decoder } => {
-                let sig = self.sig.as_mut().expect("SIG fleet has sig columns");
-                sig.adopt_tracking(idx, answer.item, decoder);
-            }
-            ColumnarSpec::Hybrid { hot, decoder, .. } if !hot.contains(answer.item) => {
-                let sig = self.sig.as_mut().expect("HYB fleet has sig columns");
-                sig.adopt_tracking(idx, answer.item, decoder);
-            }
-            _ => {}
+        let (spec, mut view) = self.view();
+        let mut client = view.client(idx);
+        client.stats.evictions += client.cache.install(answer);
+        if let Some(sig) = client.sig {
+            kernel::on_fetch(spec, sig, answer.item);
         }
     }
 
@@ -474,6 +374,27 @@ impl ColumnarFleet {
         }
     }
 
+    /// The whole fleet as one chunk, with the shared spec beside it.
+    fn view(&mut self) -> (&StaticSpec, ChunkView<'_>) {
+        let view = ChunkView {
+            base: 0,
+            h: self.h,
+            words: self.words,
+            slot_items: &self.slot_items,
+            awake: &self.awake,
+            valid: &mut self.valid,
+            values: &mut self.values,
+            stamps: &mut self.stamps,
+            cached: &mut self.cached,
+            t_l: &mut self.t_l,
+            pending: &mut self.pending,
+            stats: &mut self.stats,
+            sig: self.sig.as_mut().map(SigColumns::chunk),
+            cap: self.cap.as_mut().map(|c| c.chunk(self.h)),
+        };
+        (&self.spec, view)
+    }
+
     /// The whole-fleet report sweep: every listening client (the
     /// `heard` awake-slots, client indices `awake[slot]` ascending)
     /// applies the shared payload and answers its pending queries.
@@ -490,128 +411,26 @@ impl ColumnarFleet {
         observing: bool,
         threads: usize,
         par_min: usize,
-    ) -> Vec<super::simulation::SweepItem> {
-        let prepared = PreparedReport::new(&self.spec, payload);
-        let h = self.h;
-        let words = self.words;
+    ) -> Vec<SweepItem> {
+        let (spec, mut view) = self.view();
+        let report = PreparedReport::new(spec, payload);
         if threads > 1 && heard.len() >= par_min {
             let workers = threads.min(heard.len());
             let chunk_len = heard.len().div_ceil(workers);
             let mut out = Vec::with_capacity(heard.len());
-            // Progressively split every mutable column at the chunk's
-            // last client index; read-only columns are shared whole.
-            let slot_items = &self.slot_items;
-            let awake_flags = &self.awake;
-            let mut valid = &mut self.valid[..];
-            let mut stamps = &mut self.stamps[..];
-            let mut cached = &mut self.cached[..];
-            let mut t_l = &mut self.t_l[..];
-            let mut pending = &mut self.pending[..];
-            let mut stats = &mut self.stats[..];
-            let mut sig_cols = self.sig.as_mut().map(|s| {
-                (
-                    s.m,
-                    &mut s.tracked[..],
-                    &mut s.tracked_count[..],
-                    &mut s.last_report[..],
-                    &mut s.last_unmatched[..],
-                )
-            });
-            let mut cap_cols = self.cap.as_mut().map(|c| {
-                (
-                    &mut c.last_used[..],
-                    &mut c.use_count[..],
-                    &mut c.ghost[..],
-                    &mut c.ghost_stamps[..],
-                    &mut c.clock[..],
-                )
-            });
-            let mut base = 0usize;
             std::thread::scope(|scope| {
                 let mut handles = Vec::with_capacity(workers);
                 for chunk in heard.chunks(chunk_len) {
                     let last_idx = awake[*chunk.last().expect("chunks are non-empty")];
-                    let take = last_idx + 1 - base;
-                    let (valid_c, valid_r) = valid.split_at_mut(take * words);
-                    valid = valid_r;
-                    let (stamps_c, stamps_r) = stamps.split_at_mut(take * h);
-                    stamps = stamps_r;
-                    let (cached_c, cached_r) = cached.split_at_mut(take);
-                    cached = cached_r;
-                    let (t_l_c, t_l_r) = t_l.split_at_mut(take);
-                    t_l = t_l_r;
-                    let (pending_c, pending_r) = pending.split_at_mut(take);
-                    pending = pending_r;
-                    let (stats_c, stats_r) = stats.split_at_mut(take);
-                    stats = stats_r;
-                    let sig_chunk = match &mut sig_cols {
-                        Some((m, tracked, count, last, unmatched)) => {
-                            let m = *m;
-                            let (tr_c, tr_r) = std::mem::take(tracked).split_at_mut(take * m);
-                            *tracked = tr_r;
-                            let (ct_c, ct_r) = std::mem::take(count).split_at_mut(take);
-                            *count = ct_r;
-                            let (lr_c, lr_r) = std::mem::take(last).split_at_mut(take);
-                            *last = lr_r;
-                            let (um_c, um_r) = std::mem::take(unmatched).split_at_mut(take);
-                            *unmatched = um_r;
-                            Some(SigChunk {
-                                m,
-                                tracked: tr_c,
-                                tracked_count: ct_c,
-                                last_report: lr_c,
-                                last_unmatched: um_c,
-                            })
-                        }
-                        None => None,
-                    };
-                    let cap_chunk = match &mut cap_cols {
-                        Some((last_used, use_count, ghost, ghost_stamps, clock)) => {
-                            let (lu_c, lu_r) = std::mem::take(last_used).split_at_mut(take * h);
-                            *last_used = lu_r;
-                            let (uc_c, uc_r) = std::mem::take(use_count).split_at_mut(take * h);
-                            *use_count = uc_r;
-                            let (gh_c, gh_r) = std::mem::take(ghost).split_at_mut(take * h);
-                            *ghost = gh_r;
-                            let (gs_c, gs_r) =
-                                std::mem::take(ghost_stamps).split_at_mut(take * h);
-                            *ghost_stamps = gs_r;
-                            let (ck_c, ck_r) = std::mem::take(clock).split_at_mut(take);
-                            *clock = ck_r;
-                            Some(CapChunk {
-                                last_used: lu_c,
-                                use_count: uc_c,
-                                ghost: gh_c,
-                                ghost_stamps: gs_c,
-                                clock: ck_c,
-                            })
-                        }
-                        None => None,
-                    };
-                    let mut view = ChunkView {
-                        base,
-                        h,
-                        words,
-                        slot_items,
-                        awake: awake_flags,
-                        valid: valid_c,
-                        stamps: stamps_c,
-                        cached: cached_c,
-                        t_l: t_l_c,
-                        pending: pending_c,
-                        stats: stats_c,
-                        sig: sig_chunk,
-                        cap: cap_chunk,
-                    };
-                    base = last_idx + 1;
-                    let prepared = &prepared;
+                    let mut part = view.split_front(last_idx + 1);
+                    let report = &report;
                     handles.push(scope.spawn(move || {
-                        let mut items = Vec::with_capacity(chunk.len());
-                        for &slot in chunk {
-                            let idx = awake[slot];
-                            items.push(sweep_client(&mut view, prepared, idx, slot, observing));
-                        }
-                        items
+                        chunk
+                            .iter()
+                            .map(|&slot| {
+                                sweep_client(&mut part, report, awake[slot], slot, observing)
+                            })
+                            .collect::<Vec<_>>()
                     }));
                 }
                 for handle in handles {
@@ -620,225 +439,19 @@ impl ColumnarFleet {
             });
             out
         } else {
-            let mut view = ChunkView {
-                base: 0,
-                h,
-                words,
-                slot_items: &self.slot_items,
-                awake: &self.awake,
-                valid: &mut self.valid,
-                stamps: &mut self.stamps,
-                cached: &mut self.cached,
-                t_l: &mut self.t_l,
-                pending: &mut self.pending,
-                stats: &mut self.stats,
-                sig: self.sig.as_mut().map(|s| SigChunk {
-                    m: s.m,
-                    tracked: &mut s.tracked,
-                    tracked_count: &mut s.tracked_count,
-                    last_report: &mut s.last_report,
-                    last_unmatched: &mut s.last_unmatched,
-                }),
-                cap: self.cap.as_mut().map(|c| CapChunk {
-                    last_used: &mut c.last_used,
-                    use_count: &mut c.use_count,
-                    ghost: &mut c.ghost,
-                    ghost_stamps: &mut c.ghost_stamps,
-                    clock: &mut c.clock,
-                }),
-            };
             heard
                 .iter()
-                .map(|&slot| {
-                    let idx = awake[slot];
-                    sweep_client(&mut view, &prepared, idx, slot, observing)
-                })
+                .map(|&slot| sweep_client(&mut view, &report, awake[slot], slot, observing))
                 .collect()
         }
     }
 }
 
-impl SigColumns {
-    /// `SigHandler::on_fetch`: start tracking the fetched item's
-    /// subsets from the last heard report.
-    fn adopt_tracking(&mut self, idx: usize, item: ItemId, decoder: &SyndromeDecoder) {
-        let last = &self.last_report[idx];
-        if last.is_empty() {
-            return; // fetched before any report was heard
-        }
-        let tracked = &mut self.tracked[idx * self.m..(idx + 1) * self.m];
-        for j in decoder.family().subsets_of(item) {
-            let slot = &mut tracked[j as usize];
-            if slot.is_none() {
-                *slot = Some(last[j as usize]);
-                self.tracked_count[idx] += 1;
-            }
-        }
-    }
-}
-
-/// Per-interval report digest hoisted out of the per-client loop: the
-/// payload fields every client reads, parsed (and, where the boxed
-/// handlers sort a per-client copy, sorted) exactly once.
-enum PreparedReport<'a> {
-    Ts {
-        t_i: SimTime,
-        window: SimDuration,
-        /// Ascending by item id (the builders emit them sorted; the
-        /// hand-built-payload fallback sorts a copy once).
-        entries: std::borrow::Cow<'a, [(u64, u64)]>,
-    },
-    At {
-        t_i: SimTime,
-        limit: SimDuration,
-        ids: &'a [u64],
-    },
-    Nc {
-        t_i: SimTime,
-    },
-    Group {
-        t_i: SimTime,
-        limit: SimDuration,
-        map: GroupMap,
-        /// Changed group ids, sorted.
-        changed: Vec<u64>,
-    },
-    Sig {
-        t_i: SimTime,
-        decoder: &'a SyndromeDecoder,
-        signatures: &'a Arc<Vec<CombinedSignature>>,
-    },
-    Hybrid {
-        t_i: SimTime,
-        limit: SimDuration,
-        hot: &'a HotSet,
-        hot_ids: &'a [u64],
-        decoder: &'a SyndromeDecoder,
-        signatures: &'a Arc<Vec<CombinedSignature>>,
-    },
-}
-
-impl<'a> PreparedReport<'a> {
-    fn new(spec: &'a ColumnarSpec, payload: &'a FramePayload) -> Self {
-        match spec {
-            ColumnarSpec::Ts { window } => {
-                let (report_ts_micros, entries) = match payload {
-                    FramePayload::TimestampReport {
-                        report_ts_micros,
-                        entries,
-                    } => (*report_ts_micros, entries),
-                    other => panic!("TS handler fed a non-TS report: {other:?}"),
-                };
-                let entries = if entries.windows(2).all(|w| w[0].0 < w[1].0) {
-                    std::borrow::Cow::Borrowed(entries.as_slice())
-                } else {
-                    let mut v = entries.clone();
-                    v.sort_unstable_by_key(|&(item, _)| item);
-                    std::borrow::Cow::Owned(v)
-                };
-                PreparedReport::Ts {
-                    t_i: time_from_micros(report_ts_micros),
-                    window: *window,
-                    entries,
-                }
-            }
-            ColumnarSpec::At { latency } => {
-                let (report_ts_micros, ids) = match payload {
-                    FramePayload::AmnesicReport {
-                        report_ts_micros,
-                        ids,
-                    } => (*report_ts_micros, ids),
-                    other => panic!("AT handler fed a non-AT report: {other:?}"),
-                };
-                PreparedReport::At {
-                    t_i: time_from_micros(report_ts_micros),
-                    limit: gap_limit(*latency),
-                    ids,
-                }
-            }
-            ColumnarSpec::NoCache => {
-                let t_i = match payload {
-                    FramePayload::AmnesicReport {
-                        report_ts_micros, ..
-                    }
-                    | FramePayload::TimestampReport {
-                        report_ts_micros, ..
-                    }
-                    | FramePayload::SignatureReport {
-                        report_ts_micros, ..
-                    } => time_from_micros(*report_ts_micros),
-                    other => panic!("NC handler fed a non-report frame: {other:?}"),
-                };
-                PreparedReport::Nc { t_i }
-            }
-            ColumnarSpec::Group { latency, map } => {
-                let (report_ts_micros, ids) = match payload {
-                    FramePayload::AmnesicReport {
-                        report_ts_micros,
-                        ids,
-                    } => (*report_ts_micros, ids),
-                    other => panic!("group handler fed a wrong report: {other:?}"),
-                };
-                let mut changed = ids.clone();
-                changed.sort_unstable();
-                PreparedReport::Group {
-                    t_i: time_from_micros(report_ts_micros),
-                    limit: gap_limit(*latency),
-                    map: *map,
-                    changed,
-                }
-            }
-            ColumnarSpec::Sig { decoder } => {
-                let (report_ts_micros, signatures) = match payload {
-                    FramePayload::SignatureReport {
-                        report_ts_micros,
-                        signatures,
-                        ..
-                    } => (*report_ts_micros, signatures),
-                    other => panic!("SIG handler fed a non-SIG report: {other:?}"),
-                };
-                PreparedReport::Sig {
-                    t_i: time_from_micros(report_ts_micros),
-                    decoder,
-                    signatures,
-                }
-            }
-            ColumnarSpec::Hybrid {
-                latency,
-                hot,
-                decoder,
-            } => {
-                let (report_ts_micros, hot_ids, signatures) = match payload {
-                    FramePayload::HybridReport {
-                        report_ts_micros,
-                        hot_ids,
-                        signatures,
-                        ..
-                    } => (*report_ts_micros, hot_ids, signatures),
-                    other => panic!("hybrid handler fed a wrong report: {other:?}"),
-                };
-                PreparedReport::Hybrid {
-                    t_i: time_from_micros(report_ts_micros),
-                    limit: gap_limit(*latency),
-                    hot,
-                    hot_ids,
-                    decoder,
-                    signatures,
-                }
-            }
-        }
-    }
-
-    fn report_time(&self) -> SimTime {
-        match self {
-            PreparedReport::Ts { t_i, .. }
-            | PreparedReport::At { t_i, .. }
-            | PreparedReport::Nc { t_i }
-            | PreparedReport::Group { t_i, .. }
-            | PreparedReport::Sig { t_i, .. }
-            | PreparedReport::Hybrid { t_i, .. } => *t_i,
-        }
-    }
+/// Splits the first `n` elements off a column.
+fn front<'a, T>(column: &mut &'a mut [T], n: usize) -> &'a mut [T] {
+    let (head, tail) = std::mem::take(column).split_at_mut(n);
+    *column = tail;
+    head
 }
 
 /// SIG columns of one contiguous client chunk.
@@ -850,15 +463,79 @@ struct SigChunk<'a> {
     last_unmatched: &'a mut [u32],
 }
 
+impl<'a> SigChunk<'a> {
+    /// Splits the first `take` clients off the front.
+    fn split_front(&mut self, take: usize) -> Self {
+        SigChunk {
+            m: self.m,
+            tracked: front(&mut self.tracked, take * self.m),
+            tracked_count: front(&mut self.tracked_count, take),
+            last_report: front(&mut self.last_report, take),
+            last_unmatched: front(&mut self.last_unmatched, take),
+        }
+    }
+
+    fn row(&mut self, local: usize) -> SigRow<'_> {
+        SigRow {
+            tracked: &mut self.tracked[local * self.m..(local + 1) * self.m],
+            tracked_count: &mut self.tracked_count[local],
+            last_report: &mut self.last_report[local],
+            last_unmatched: &mut self.last_unmatched[local],
+        }
+    }
+}
+
+/// Bounded-cache columns of one contiguous client chunk.
+struct CapChunk<'a> {
+    spec: CapacitySpec,
+    h: usize,
+    last_used: &'a mut [u64],
+    use_count: &'a mut [u64],
+    ghost: &'a mut [u8],
+    ghost_stamps: &'a mut [SimTime],
+    clock: &'a mut [u64],
+}
+
+impl<'a> CapChunk<'a> {
+    /// Splits the first `take` clients off the front.
+    fn split_front(&mut self, take: usize) -> Self {
+        let h = self.h;
+        CapChunk {
+            spec: self.spec,
+            h,
+            last_used: front(&mut self.last_used, take * h),
+            use_count: front(&mut self.use_count, take * h),
+            ghost: front(&mut self.ghost, take * h),
+            ghost_stamps: front(&mut self.ghost_stamps, take * h),
+            clock: front(&mut self.clock, take),
+        }
+    }
+
+    fn row(&mut self, local: usize) -> CapRow<'_> {
+        let slots = local * self.h..(local + 1) * self.h;
+        CapRow {
+            spec: self.spec,
+            last_used: &mut self.last_used[slots.clone()],
+            use_count: &mut self.use_count[slots.clone()],
+            ghost: &mut self.ghost[slots.clone()],
+            ghost_stamps: &mut self.ghost_stamps[slots],
+            clock: &mut self.clock[local],
+        }
+    }
+}
+
 /// A contiguous client range of the fleet's columns, local indices
 /// rebased by `base`. One chunk per sweep worker; chunks never alias.
 struct ChunkView<'a> {
     base: usize,
     h: usize,
     words: usize,
+    /// Shared whole, indexed by the global client index.
     slot_items: &'a [ItemId],
+    /// Shared whole, indexed by the global client index.
     awake: &'a [bool],
     valid: &'a mut [u64],
+    values: &'a mut [u64],
     stamps: &'a mut [SimTime],
     cached: &'a mut [u32],
     t_l: &'a mut [Option<SimTime>],
@@ -868,453 +545,265 @@ struct ChunkView<'a> {
     cap: Option<CapChunk<'a>>,
 }
 
-impl ChunkView<'_> {
-    fn is_valid(&self, local: usize, slot: usize) -> bool {
-        self.valid[local * self.words + slot / 64] & (1 << (slot % 64)) != 0
+impl<'a> ChunkView<'a> {
+    /// Splits the clients before global index `at` off the front.
+    fn split_front(&mut self, at: usize) -> Self {
+        let take = at - self.base;
+        let (h, words) = (self.h, self.words);
+        let head = ChunkView {
+            base: self.base,
+            h,
+            words,
+            slot_items: self.slot_items,
+            awake: self.awake,
+            valid: front(&mut self.valid, take * words),
+            values: front(&mut self.values, take * h),
+            stamps: front(&mut self.stamps, take * h),
+            cached: front(&mut self.cached, take),
+            t_l: front(&mut self.t_l, take),
+            pending: front(&mut self.pending, take),
+            stats: front(&mut self.stats, take),
+            sig: self.sig.as_mut().map(|s| s.split_front(take)),
+            cap: self.cap.as_mut().map(|c| c.split_front(take)),
+        };
+        self.base = at;
+        head
     }
 
-    fn clear_slot(&mut self, local: usize, slot: usize) {
-        self.valid[local * self.words + slot / 64] &= !(1 << (slot % 64));
-        self.cached[local] -= 1;
-    }
-
-    fn clear_cache(&mut self, local: usize) {
-        self.valid[local * self.words..(local + 1) * self.words].fill(0);
-        self.cached[local] = 0;
-        // A whole-cache drop retires the ghosts too (`Cache::clear`):
-        // after it *nothing* would have been a hit, so no later miss is
-        // attributable to an earlier eviction.
-        if let Some(cap) = &mut self.cap {
-            cap.ghost[local * self.h..(local + 1) * self.h].fill(0);
-        }
-    }
-
-    fn item(&self, idx: usize, slot: usize) -> ItemId {
-        // slot_items is the full shared column, indexed by the global
-        // client index.
-        self.slot_items[idx * self.h + slot]
-    }
-
-    fn slot_of(&self, idx: usize, item: ItemId) -> Option<usize> {
-        self.slot_items[idx * self.h..(idx + 1) * self.h]
-            .binary_search(&item)
-            .ok()
-    }
-
-    /// Cached item ids of client `idx`, ascending (= the dense cache's
-    /// `sorted_items`).
-    fn cached_items(&self, local: usize, idx: usize) -> Vec<ItemId> {
-        let mut out = Vec::with_capacity(self.cached[local] as usize);
-        for slot in 0..self.h {
-            if self.is_valid(local, slot) {
-                out.push(self.item(idx, slot));
-            }
-        }
-        out
-    }
-
-    fn restamp_all(&mut self, local: usize, t_i: SimTime) {
-        for slot in 0..self.h {
-            if self.is_valid(local, slot) {
-                self.stamps[local * self.h + slot] = t_i;
-            }
+    /// Client `idx`'s state (a global index inside this chunk).
+    fn client(&mut self, idx: usize) -> Client<'_> {
+        let local = idx - self.base;
+        let (h, words) = (self.h, self.words);
+        Client {
+            cache: SlotRow {
+                items: &self.slot_items[idx * h..(idx + 1) * h],
+                valid: &mut self.valid[local * words..(local + 1) * words],
+                values: &mut self.values[local * h..(local + 1) * h],
+                stamps: &mut self.stamps[local * h..(local + 1) * h],
+                cached: &mut self.cached[local],
+                cap: self.cap.as_mut().map(|c| c.row(local)),
+            },
+            sig: self.sig.as_mut().map(|s| s.row(local)),
+            t_l: &mut self.t_l[local],
+            stats: &mut self.stats[local],
+            pending: &mut self.pending[local],
         }
     }
 }
 
-/// One client's share of the report sweep: the columnar transcription
-/// of `MobileUnit::hear_report_and_answer` (strategy processing,
-/// latency accounting, hit/miss events, deduplicated uplink requests).
-/// `idx` is the global client index, `local = idx - view.base` its
-/// position inside the chunk.
+/// One client's columns, borrowed.
+struct Client<'a> {
+    cache: SlotRow<'a>,
+    sig: Option<SigRow<'a>>,
+    t_l: &'a mut Option<SimTime>,
+    stats: &'a mut MuStats,
+    pending: &'a mut Vec<PendingQuery>,
+}
+
+/// One client's bounded-cache columns, borrowed.
+struct CapRow<'a> {
+    spec: CapacitySpec,
+    last_used: &'a mut [u64],
+    use_count: &'a mut [u64],
+    ghost: &'a mut [u8],
+    ghost_stamps: &'a mut [SimTime],
+    clock: &'a mut u64,
+}
+
+/// One client's slot block: the columnar [`CacheRow`].
+struct SlotRow<'a> {
+    /// Slot → item, ascending.
+    items: &'a [ItemId],
+    valid: &'a mut [u64],
+    values: &'a mut [u64],
+    stamps: &'a mut [SimTime],
+    cached: &'a mut u32,
+    cap: Option<CapRow<'a>>,
+}
+
+fn bit_set(valid: &[u64], slot: usize) -> bool {
+    valid[slot / 64] & (1 << (slot % 64)) != 0
+}
+
+impl SlotRow<'_> {
+    fn slot_of(&self, item: ItemId) -> Option<usize> {
+        self.items.binary_search(&item).ok()
+    }
+
+    fn drop_slot(&mut self, slot: usize) {
+        self.valid[slot / 64] &= !(1 << (slot % 64));
+        *self.cached -= 1;
+    }
+
+    /// `Cache::insert` over the slot block: installs the answer, then
+    /// evicts per the replacement policy while over capacity. Returns
+    /// the number of evictions.
+    fn install(&mut self, answer: QueryAnswer) -> u64 {
+        let slot = self
+            .slot_of(answer.item)
+            .expect("uplink answers only items the client queried, i.e. hotspot items");
+        if !bit_set(self.valid, slot) {
+            self.valid[slot / 64] |= 1 << (slot % 64);
+            *self.cached += 1;
+        }
+        self.values[slot] = answer.value;
+        self.stamps[slot] = answer.timestamp;
+        let Some(cap) = &mut self.cap else {
+            return 0;
+        };
+        *cap.clock += 1;
+        cap.last_used[slot] = *cap.clock;
+        cap.use_count[slot] = 1;
+        // A fresh install clears any ghost of the item.
+        cap.ghost[slot] = 0;
+        let mut evicted = 0;
+        while *self.cached as usize > cap.spec.cap {
+            // The key ends in the item id, so the minimum is unique and
+            // the slot order cannot disagree with the boxed table walk.
+            let victim = (0..self.items.len())
+                .filter(|&s| bit_set(self.valid, s))
+                .min_by_key(|&s| {
+                    let meta = EntryMeta {
+                        last_used: cap.last_used[s],
+                        use_count: cap.use_count[s],
+                        stamp: self.stamps[s],
+                    };
+                    victim_key(
+                        cap.spec.policy,
+                        meta,
+                        answer.timestamp,
+                        cap.spec.window,
+                        self.items[s],
+                    )
+                })
+                .expect("cache over capacity cannot be empty");
+            self.valid[victim / 64] &= !(1 << (victim % 64));
+            *self.cached -= 1;
+            cap.ghost[victim] = 1;
+            cap.ghost_stamps[victim] = self.stamps[victim];
+            evicted += 1;
+        }
+        evicted
+    }
+}
+
+impl CacheRow for SlotRow<'_> {
+    fn len(&self) -> usize {
+        *self.cached as usize
+    }
+
+    fn clear(&mut self) {
+        self.valid.fill(0);
+        *self.cached = 0;
+        if let Some(cap) = &mut self.cap {
+            cap.ghost.fill(0);
+        }
+    }
+
+    fn retain_restamp<F: FnMut(ItemId, SimTime) -> bool>(&mut self, t_i: SimTime, mut keep: F) {
+        for slot in 0..self.items.len() {
+            if !bit_set(self.valid, slot) {
+                continue;
+            }
+            if keep(self.items[slot], self.stamps[slot]) {
+                self.stamps[slot] = t_i;
+            } else {
+                self.drop_slot(slot);
+            }
+        }
+    }
+
+    fn remove(&mut self, item: ItemId) -> bool {
+        match self.slot_of(item) {
+            Some(slot) if bit_set(self.valid, slot) => {
+                self.drop_slot(slot);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    fn restamp_all(&mut self, t_i: SimTime) {
+        for slot in 0..self.items.len() {
+            if bit_set(self.valid, slot) {
+                self.stamps[slot] = t_i;
+            }
+        }
+    }
+
+    fn ghosts_mark_stale<F: FnMut(ItemId, SimTime) -> bool>(&mut self, mut proven_stale: F) {
+        if let Some(cap) = &mut self.cap {
+            for slot in 0..self.items.len() {
+                if cap.ghost[slot] == 1 && proven_stale(self.items[slot], cap.ghost_stamps[slot]) {
+                    cap.ghost[slot] = 2;
+                }
+            }
+        }
+    }
+
+    fn ghost_mark_stale_item(&mut self, item: ItemId) {
+        let Some(cap) = &mut self.cap else {
+            return;
+        };
+        if let Ok(slot) = self.items.binary_search(&item) {
+            if cap.ghost[slot] != 0 {
+                cap.ghost[slot] = 2;
+            }
+        }
+    }
+
+    fn read(&mut self, item: ItemId) -> bool {
+        let slot = self.slot_of(item);
+        let hit = slot.is_some_and(|slot| bit_set(self.valid, slot));
+        if let Some(cap) = &mut self.cap {
+            *cap.clock += 1;
+            if let (true, Some(slot)) = (hit, slot) {
+                cap.last_used[slot] = *cap.clock;
+                cap.use_count[slot] += 1;
+            }
+        }
+        hit
+    }
+
+    fn take_ghost(&mut self, item: ItemId) -> Option<GhostFate> {
+        let cap = self.cap.as_mut()?;
+        let slot = self.items.binary_search(&item).ok()?;
+        let fate = match cap.ghost[slot] {
+            1 => Some(GhostFate::Fresh),
+            2 => Some(GhostFate::Stale),
+            _ => None,
+        };
+        cap.ghost[slot] = 0;
+        fate
+    }
+}
+
+/// One client's share of the report sweep: the kernel's rule, then its
+/// answer loop. Piggyback histories are ineligible for the columnar
+/// fleet, so no uplink request carries one.
 fn sweep_client(
     view: &mut ChunkView<'_>,
-    prepared: &PreparedReport<'_>,
+    report: &PreparedReport<'_>,
     idx: usize,
     awake_slot: usize,
     observing: bool,
-) -> super::simulation::SweepItem {
+) -> SweepItem {
     assert!(view.awake[idx], "a sleeping unit cannot hear a report");
-    let local = idx - view.base;
-    let pre = if observing {
-        Some((view.stats[local], view.t_l[local]))
-    } else {
-        None
-    };
-    let outcome = process_report(view, prepared, local, idx);
-    let t_i = outcome.report_time;
-    let stats = &mut view.stats[local];
-    for q in &view.pending[local] {
-        let lat = t_i.saturating_duration_since(q.posed_at).as_secs();
-        stats.latency_sum_secs += lat;
-        if lat > stats.latency_max_secs {
-            stats.latency_max_secs = lat;
-        }
-    }
-    view.t_l[local] = Some(t_i);
-    if outcome.dropped_all {
-        stats.cache_drops += 1;
-    }
-    stats.items_invalidated += outcome.invalidated.len() as u64;
-    // Answer Q_i: one event per distinct pending item.
-    let mut seen: Vec<ItemId> = view.pending[local].iter().map(|q| q.item).collect();
-    seen.sort_unstable();
-    seen.dedup();
-    let mut uplink = Vec::new();
-    for item in seen {
-        let slot = view.slot_of(idx, item);
-        let hit = slot.is_some_and(|slot| view.is_valid(local, slot));
-        // Mirror `Cache::get`: the access clock ticks on every read,
-        // hit or miss; a hit also bumps recency and the LFU count.
-        if let Some(cap) = &mut view.cap {
-            cap.clock[local] += 1;
-            if hit {
-                let at = local * view.h + slot.expect("hits have a slot");
-                cap.last_used[at] = cap.clock[local];
-                cap.use_count[at] += 1;
-            }
-        }
-        if hit {
-            view.stats[local].hit_events += 1;
-        } else {
-            view.stats[local].miss_events += 1;
-            // `Cache::take_ghost`: classify the requery of an evicted
-            // copy — fresh ghost ⇒ the capacity bound caused this miss.
-            if let (Some(cap), Some(slot)) = (&mut view.cap, slot) {
-                let at = local * view.h + slot;
-                match cap.ghost[at] {
-                    1 => {
-                        view.stats[local].capacity_misses += 1;
-                        view.stats[local].evicted_then_requeried += 1;
-                    }
-                    2 => view.stats[local].evicted_then_requeried += 1,
-                    _ => {}
-                }
-                cap.ghost[at] = 0;
-            }
-            // Piggyback histories are ineligible for the columnar
-            // fleet, so the uplink request never carries one.
-            uplink.push((item, None));
-        }
-    }
-    view.pending[local].clear();
-    super::simulation::SweepItem {
+    let mut client = view.client(idx);
+    let pre = observing.then_some((*client.stats, *client.t_l));
+    let outcome = kernel::process(report, &mut client.cache, *client.t_l, client.sig);
+    let outcome = kernel::answer_pending(
+        &mut client.cache,
+        outcome,
+        client.stats,
+        client.t_l,
+        client.pending,
+        |_, _| None,
+    );
+    SweepItem {
         slot: awake_slot,
         pre,
         migrated_pre_len: None,
-        outcome: IntervalReport {
-            awake: true,
-            outcome: Some(outcome),
-            uplink_requests: uplink,
-        },
-    }
-}
-
-/// The strategy kernels: each arm is a line-for-line transcription of
-/// the corresponding `ReportHandler::process` over the slot block.
-fn process_report(
-    view: &mut ChunkView<'_>,
-    prepared: &PreparedReport<'_>,
-    local: usize,
-    idx: usize,
-) -> ProcessOutcome {
-    let t_i = prepared.report_time();
-    match prepared {
-        PreparedReport::Ts {
-            window, entries, ..
-        } => {
-            let gap_too_large = match view.t_l[local] {
-                Some(t_l) => t_i.saturating_duration_since(t_l) > *window,
-                None => view.cached[local] > 0, // never heard a report: nothing provable
-            };
-            if gap_too_large {
-                view.clear_cache(local);
-                return ProcessOutcome {
-                    report_time: t_i,
-                    dropped_all: true,
-                    invalidated: Vec::new(),
-                    revalidated: 0,
-                };
-            }
-            let mut invalidated = Vec::new();
-            for slot in 0..view.h {
-                if !view.is_valid(local, slot) {
-                    continue;
-                }
-                let item = view.item(idx, slot);
-                let cached_micros = time_to_micros(view.stamps[local * view.h + slot]);
-                match entries
-                    .binary_search_by_key(&item, |&(reported_item, _)| reported_item)
-                    .ok()
-                    .map(|ix| entries[ix].1)
-                {
-                    Some(t_j) if cached_micros < t_j => {
-                        view.clear_slot(local, slot);
-                        invalidated.push(item);
-                    }
-                    _ => view.stamps[local * view.h + slot] = t_i,
-                }
-            }
-            // Ghost retire (`Cache::ghosts_mark_stale`): a report entry
-            // [j, t_j] newer than an evicted copy's stamp proves that
-            // copy would have been dropped anyway — the eviction cost
-            // nothing.
-            if let Some(cap) = &mut view.cap {
-                for slot in 0..view.h {
-                    let at = local * view.h + slot;
-                    if cap.ghost[at] != 1 {
-                        continue;
-                    }
-                    let item = view.slot_items[idx * view.h + slot];
-                    let stamp_micros = time_to_micros(cap.ghost_stamps[at]);
-                    if entries
-                        .binary_search_by_key(&item, |&(reported_item, _)| reported_item)
-                        .ok()
-                        .is_some_and(|ix| stamp_micros < entries[ix].1)
-                    {
-                        cap.ghost[at] = 2;
-                    }
-                }
-            }
-            // Slot order is ascending item id, so `invalidated` is
-            // already sorted — same output as the dense-cache walk.
-            let revalidated = view.cached[local] as usize;
-            ProcessOutcome {
-                report_time: t_i,
-                dropped_all: false,
-                invalidated,
-                revalidated,
-            }
-        }
-        PreparedReport::At { limit, ids, .. } => {
-            let gap_too_large = match view.t_l[local] {
-                Some(t_l) => t_i.saturating_duration_since(t_l) > *limit,
-                None => view.cached[local] > 0,
-            };
-            if gap_too_large {
-                view.clear_cache(local);
-                return ProcessOutcome {
-                    report_time: t_i,
-                    dropped_all: true,
-                    invalidated: Vec::new(),
-                    revalidated: 0,
-                };
-            }
-            let mut invalidated = Vec::new();
-            for &item in *ids {
-                if let Some(slot) = view.slot_of(idx, item) {
-                    if view.is_valid(local, slot) {
-                        view.clear_slot(local, slot);
-                        invalidated.push(item);
-                    }
-                    // `Cache::ghost_mark_stale_item`: a reported id
-                    // changed this interval, so any evicted copy of it
-                    // is provably stale — the eviction cost nothing.
-                    if let Some(cap) = &mut view.cap {
-                        let at = local * view.h + slot;
-                        if cap.ghost[at] != 0 {
-                            cap.ghost[at] = 2;
-                        }
-                    }
-                }
-            }
-            view.restamp_all(local, t_i);
-            let revalidated = view.cached[local] as usize;
-            ProcessOutcome {
-                report_time: t_i,
-                dropped_all: false,
-                invalidated,
-                revalidated,
-            }
-        }
-        PreparedReport::Nc { .. } => {
-            view.clear_cache(local);
-            ProcessOutcome {
-                report_time: t_i,
-                dropped_all: false,
-                invalidated: Vec::new(),
-                revalidated: 0,
-            }
-        }
-        PreparedReport::Group {
-            limit,
-            map,
-            changed,
-            ..
-        } => {
-            let gap_too_large = match view.t_l[local] {
-                Some(t_l) => t_i.saturating_duration_since(t_l) > *limit,
-                None => view.cached[local] > 0,
-            };
-            if gap_too_large {
-                view.clear_cache(local);
-                return ProcessOutcome {
-                    report_time: t_i,
-                    dropped_all: true,
-                    invalidated: Vec::new(),
-                    revalidated: 0,
-                };
-            }
-            let mut invalidated = Vec::new();
-            for slot in 0..view.h {
-                if !view.is_valid(local, slot) {
-                    continue;
-                }
-                let item = view.item(idx, slot);
-                if changed.binary_search(&map.group_of(item)).is_ok() {
-                    view.clear_slot(local, slot);
-                    invalidated.push(item);
-                } else {
-                    view.stamps[local * view.h + slot] = t_i;
-                }
-            }
-            let revalidated = view.cached[local] as usize;
-            ProcessOutcome {
-                report_time: t_i,
-                dropped_all: false,
-                invalidated,
-                revalidated,
-            }
-        }
-        PreparedReport::Sig {
-            decoder,
-            signatures,
-            ..
-        } => {
-            let cached_items = view.cached_items(local, idx);
-            let sig = view.sig.as_mut().expect("SIG sweep has sig columns");
-            let m = sig.m;
-            let tracked = &sig.tracked[local * m..(local + 1) * m];
-            let diagnosis =
-                decoder.diagnose(&cached_items, |j| tracked[j as usize], signatures);
-            sig.last_unmatched[local] = diagnosis.unmatched_subsets;
-            for &item in &diagnosis.invalidated {
-                let slot = view
-                    .slot_of(idx, item)
-                    .expect("diagnosed items come from the cache");
-                view.clear_slot(local, slot);
-            }
-            // Re-scope tracking to the surviving cache and adopt the
-            // broadcast signatures.
-            let sig = view.sig.as_mut().expect("SIG sweep has sig columns");
-            sig.tracked[local * m..(local + 1) * m].fill(None);
-            sig.tracked_count[local] = 0;
-            for slot in 0..view.h {
-                if view.valid[local * view.words + slot / 64] & (1 << (slot % 64)) == 0 {
-                    continue;
-                }
-                let item = view.slot_items[idx * view.h + slot];
-                let sig = view.sig.as_mut().expect("SIG sweep has sig columns");
-                for j in decoder.family().subsets_of(item) {
-                    let cell = &mut sig.tracked[local * m + j as usize];
-                    if cell.is_none() {
-                        sig.tracked_count[local] += 1;
-                    }
-                    *cell = Some(signatures[j as usize]);
-                }
-            }
-            view.restamp_all(local, t_i);
-            let sig = view.sig.as_mut().expect("SIG sweep has sig columns");
-            sig.last_report[local] = Arc::clone(signatures);
-            let revalidated = view.cached[local] as usize;
-            ProcessOutcome {
-                report_time: t_i,
-                dropped_all: false,
-                invalidated: diagnosis.invalidated,
-                revalidated,
-            }
-        }
-        PreparedReport::Hybrid {
-            limit,
-            hot,
-            hot_ids,
-            decoder,
-            signatures,
-            ..
-        } => {
-            let mut invalidated = Vec::new();
-            // Hot half: AT semantics, scoped to hot items only.
-            let missed_report = match view.t_l[local] {
-                Some(t_l) => t_i.saturating_duration_since(t_l) > *limit,
-                None => true,
-            };
-            if missed_report {
-                for slot in 0..view.h {
-                    if !view.is_valid(local, slot) {
-                        continue;
-                    }
-                    let item = view.item(idx, slot);
-                    if hot.contains(item) {
-                        view.clear_slot(local, slot);
-                        invalidated.push(item);
-                    }
-                }
-            } else {
-                for &item in *hot_ids {
-                    if let Some(slot) = view.slot_of(idx, item) {
-                        if view.is_valid(local, slot) {
-                            view.clear_slot(local, slot);
-                            invalidated.push(item);
-                        }
-                    }
-                }
-            }
-            // Cold half: SIG semantics over the remaining cached items.
-            let cold_items: Vec<ItemId> = {
-                let mut out = Vec::with_capacity(view.cached[local] as usize);
-                for slot in 0..view.h {
-                    if view.is_valid(local, slot) {
-                        let item = view.item(idx, slot);
-                        if !hot.contains(item) {
-                            out.push(item);
-                        }
-                    }
-                }
-                out
-            };
-            let sig = view.sig.as_mut().expect("HYB sweep has sig columns");
-            let m = sig.m;
-            let tracked = &sig.tracked[local * m..(local + 1) * m];
-            let diagnosis =
-                decoder.diagnose(&cold_items, |j| tracked[j as usize], signatures);
-            sig.last_unmatched[local] = diagnosis.unmatched_subsets;
-            for &item in &diagnosis.invalidated {
-                let slot = view
-                    .slot_of(idx, item)
-                    .expect("diagnosed items come from the cache");
-                view.clear_slot(local, slot);
-                invalidated.push(item);
-            }
-            let sig = view.sig.as_mut().expect("HYB sweep has sig columns");
-            sig.tracked[local * m..(local + 1) * m].fill(None);
-            sig.tracked_count[local] = 0;
-            for slot in 0..view.h {
-                if view.valid[local * view.words + slot / 64] & (1 << (slot % 64)) == 0 {
-                    continue;
-                }
-                let item = view.slot_items[idx * view.h + slot];
-                if hot.contains(item) {
-                    continue;
-                }
-                let sig = view.sig.as_mut().expect("HYB sweep has sig columns");
-                for j in decoder.family().subsets_of(item) {
-                    let cell = &mut sig.tracked[local * m + j as usize];
-                    if cell.is_none() {
-                        sig.tracked_count[local] += 1;
-                    }
-                    *cell = Some(signatures[j as usize]);
-                }
-            }
-            let sig = view.sig.as_mut().expect("HYB sweep has sig columns");
-            sig.last_report[local] = Arc::clone(signatures);
-            view.restamp_all(local, t_i);
-            let revalidated = view.cached[local] as usize;
-            ProcessOutcome {
-                report_time: t_i,
-                dropped_all: false,
-                invalidated,
-                revalidated,
-            }
-        }
+        outcome,
     }
 }

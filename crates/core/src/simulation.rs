@@ -491,7 +491,7 @@ impl CellSimulation {
         // either way (the equivalence suite runs both on the same
         // config).
         let columnar_spec = if config.backbone.is_none() && !piggyback && config.query.is_none() {
-            strategy.columnar_spec(&params, protocol_seed)
+            strategy.static_spec(&params, protocol_seed)
         } else {
             None
         };
@@ -519,7 +519,7 @@ impl CellSimulation {
                             "the query-result plane attaches to boxed units".into(),
                         );
                     }
-                    if strategy.columnar_spec(&params, protocol_seed).is_none() {
+                    if strategy.static_spec(&params, protocol_seed).is_none() {
                         reasons.push(format!(
                             "strategy {} builds its reports from per-client feedback \
                              state that only boxed units carry",

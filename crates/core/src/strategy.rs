@@ -7,15 +7,13 @@
 //! goes through this one place.
 
 use sw_adaptive::{AdaptiveTsHandler, FeedbackMethod};
-use sw_client::{
-    AtHandler, GroupHandler, HybridHandler, NoCacheHandler, ReportHandler, SigHandler, TsHandler,
-};
+use sw_client::{ReportHandler, StaticHandler, StaticSpec};
 use sw_quasi::DelayQuasiHandler;
 use sw_server::{
     AtBuilder, Database, GroupMap, GroupReportBuilder, HotSet, HybridSigBuilder, NoReportBuilder,
     ReportBuilder, SigBuilder, TsBuilder,
 };
-use sw_signature::{SigPlan, SubsetFamily};
+use sw_signature::{SigPlan, SubsetFamily, SyndromeDecoder};
 use sw_sim::{MasterSeed, SimDuration, StreamId};
 use sw_workload::ScenarioParams;
 
@@ -147,14 +145,7 @@ impl Strategy {
             Strategy::BroadcastTimestamps => Box::new(TsBuilder::new(latency, params.k)),
             Strategy::AmnesicTerminals => Box::new(AtBuilder::new(latency)),
             Strategy::Signatures => {
-                let plan = SigPlan::new(
-                    params.f,
-                    params.g,
-                    params.n_items,
-                    params.sig_delta,
-                    SigPlan::DEFAULT_K,
-                );
-                let family = SubsetFamily::new(sig_seed(seed), plan.m, plan.f);
+                let (plan, family) = sig_plan(params, seed);
                 Box::new(SigBuilder::new(plan, family, db))
             }
             Strategy::NoCache => Box::new(NoReportBuilder),
@@ -171,14 +162,7 @@ impl Strategy {
                 unreachable!("the stateful baseline is constructed by the simulation driver")
             }
             Strategy::HybridSig { hot_count } => {
-                let plan = SigPlan::new(
-                    params.f,
-                    params.g,
-                    params.n_items,
-                    params.sig_delta,
-                    SigPlan::DEFAULT_K,
-                );
-                let family = SubsetFamily::new(sig_seed(seed), plan.m, plan.f);
+                let (plan, family) = sig_plan(params, seed);
                 Box::new(HybridSigBuilder::new(
                     latency,
                     HotSet::top_by_rank((*hot_count).min(params.n_items)),
@@ -205,23 +189,10 @@ impl Strategy {
         seed: MasterSeed,
     ) -> Box<dyn ReportHandler + Send> {
         let latency = SimDuration::from_secs(params.latency_secs);
+        if let Some(spec) = self.static_spec(params, seed) {
+            return Box::new(StaticHandler::new(spec));
+        }
         match self {
-            Strategy::BroadcastTimestamps => Box::new(TsHandler::new(latency, params.k)),
-            Strategy::AmnesicTerminals => Box::new(AtHandler::new(latency)),
-            Strategy::Signatures => {
-                let plan = SigPlan::new(
-                    params.f,
-                    params.g,
-                    params.n_items,
-                    params.sig_delta,
-                    SigPlan::DEFAULT_K,
-                );
-                let family = SubsetFamily::new(sig_seed(seed), plan.m, plan.f);
-                Box::new(SigHandler::new(sw_signature::SyndromeDecoder::new(
-                    family, plan,
-                )))
-            }
-            Strategy::NoCache => Box::new(NoCacheHandler),
             Strategy::AdaptiveTs { .. } => Box::new(AdaptiveTsHandler::new(latency, params.k)),
             Strategy::QuasiDelay { alpha_intervals } => {
                 Box::new(DelayQuasiHandler::new(latency, *alpha_intervals))
@@ -229,86 +200,61 @@ impl Strategy {
             // Stateful clients process the union of their directed
             // invalidations, which the driver frames as an AT-style id
             // list; the gap-drop models losing the cache on reconnect.
-            Strategy::Stateful => Box::new(AtHandler::new(latency)),
-            Strategy::HybridSig { hot_count } => {
-                let plan = SigPlan::new(
-                    params.f,
-                    params.g,
-                    params.n_items,
-                    params.sig_delta,
-                    SigPlan::DEFAULT_K,
-                );
-                let family = SubsetFamily::new(sig_seed(seed), plan.m, plan.f);
-                Box::new(HybridHandler::new(
-                    latency,
-                    HotSet::top_by_rank((*hot_count).min(params.n_items)),
-                    sw_signature::SyndromeDecoder::new(family, plan),
-                ))
-            }
-            Strategy::GroupReports { groups } => Box::new(GroupHandler::new(
-                latency,
-                GroupMap::new(params.n_items, (*groups).clamp(1, params.n_items)),
-            )),
+            Strategy::Stateful => Box::new(StaticHandler::new(StaticSpec::at(latency))),
+            _ => unreachable!("static strategies have a static spec"),
         }
     }
 
-    /// Builds the fleet-shared kernel state for the columnar client
-    /// backend — the same window/latency/decoder/hot-set/group-map a
-    /// [`Strategy::make_handler`] call would embed in each boxed
-    /// handler, constructed once. Returns `None` for the strategies
-    /// whose handlers carry driver-wired per-client state (adaptive TS,
-    /// quasi-delay, stateful): those stay on boxed units.
-    pub(crate) fn columnar_spec(
+    /// The client rule's shared configuration for the static strategies
+    /// (TS, AT, SIG, NC, hybrid, group): the window, latency, decoder,
+    /// hot set or group map every client of the cell runs with. Both
+    /// client backends build from it: [`Strategy::make_handler`] wraps it
+    /// per boxed unit, the columnar fleet holds it once. Returns `None`
+    /// for the strategies whose clients carry driver-wired feedback
+    /// state (adaptive TS, quasi-delay, stateful).
+    pub(crate) fn static_spec(
         &self,
         params: &ScenarioParams,
         seed: MasterSeed,
-    ) -> Option<crate::fleet::ColumnarSpec> {
-        use crate::fleet::ColumnarSpec;
+    ) -> Option<StaticSpec> {
         let latency = SimDuration::from_secs(params.latency_secs);
-        match self {
-            Strategy::BroadcastTimestamps => {
-                assert!(params.k >= 1, "TS window multiple k must be at least 1");
-                Some(ColumnarSpec::Ts {
-                    window: latency.scaled(params.k as f64),
-                })
-            }
-            Strategy::AmnesicTerminals => Some(ColumnarSpec::At { latency }),
-            Strategy::Signatures => {
-                let plan = SigPlan::new(
-                    params.f,
-                    params.g,
-                    params.n_items,
-                    params.sig_delta,
-                    SigPlan::DEFAULT_K,
-                );
-                let family = SubsetFamily::new(sig_seed(seed), plan.m, plan.f);
-                Some(ColumnarSpec::Sig {
-                    decoder: sw_signature::SyndromeDecoder::new(family, plan),
-                })
-            }
-            Strategy::NoCache => Some(ColumnarSpec::NoCache),
-            Strategy::HybridSig { hot_count } => {
-                let plan = SigPlan::new(
-                    params.f,
-                    params.g,
-                    params.n_items,
-                    params.sig_delta,
-                    SigPlan::DEFAULT_K,
-                );
-                let family = SubsetFamily::new(sig_seed(seed), plan.m, plan.f);
-                Some(ColumnarSpec::Hybrid {
-                    latency,
-                    hot: HotSet::top_by_rank((*hot_count).min(params.n_items)),
-                    decoder: sw_signature::SyndromeDecoder::new(family, plan),
-                })
-            }
-            Strategy::GroupReports { groups } => Some(ColumnarSpec::Group {
+        let decoder = || {
+            let (plan, family) = sig_plan(params, seed);
+            SyndromeDecoder::new(family, plan)
+        };
+        Some(match self {
+            Strategy::BroadcastTimestamps => StaticSpec::ts(latency, params.k),
+            Strategy::AmnesicTerminals => StaticSpec::at(latency),
+            Strategy::Signatures => StaticSpec::sig(decoder()),
+            Strategy::NoCache => StaticSpec::NoCache,
+            Strategy::HybridSig { hot_count } => StaticSpec::hybrid(
                 latency,
-                map: GroupMap::new(params.n_items, (*groups).clamp(1, params.n_items)),
-            }),
-            Strategy::AdaptiveTs { .. } | Strategy::QuasiDelay { .. } | Strategy::Stateful => None,
-        }
+                HotSet::top_by_rank((*hot_count).min(params.n_items)),
+                decoder(),
+            ),
+            Strategy::GroupReports { groups } => StaticSpec::group(
+                latency,
+                GroupMap::new(params.n_items, (*groups).clamp(1, params.n_items)),
+            ),
+            Strategy::AdaptiveTs { .. } | Strategy::QuasiDelay { .. } | Strategy::Stateful => {
+                return None
+            }
+        })
     }
+}
+
+/// The signature plan and subset family both sides of SIG and the
+/// hybrid derive from the scenario and the master seed.
+fn sig_plan(params: &ScenarioParams, seed: MasterSeed) -> (SigPlan, SubsetFamily) {
+    let plan = SigPlan::new(
+        params.f,
+        params.g,
+        params.n_items,
+        params.sig_delta,
+        SigPlan::DEFAULT_K,
+    );
+    let family = SubsetFamily::new(sig_seed(seed), plan.m, plan.f);
+    (plan, family)
 }
 
 /// The SIG subset-family seed both sides derive from the master seed.

@@ -30,7 +30,9 @@
 //!    asserted bit-identical to two independent single-cell runs — the
 //!    sharded environment itself must be invisible.
 
-use sleepers::client::{AtHandler, MobileUnit, MuConfig, ReplacementPolicy, ReportHandler, TsHandler};
+use sleepers::client::{
+    MobileUnit, MuConfig, ReplacementPolicy, ReportHandler, StaticHandler, StaticSpec,
+};
 use sleepers::server::AtBuilder;
 use sleepers::server::{Database, ReportBuilder, TsBuilder, UpdateEngine, UplinkProcessor};
 use sleepers::sim::{MasterSeed, SimDuration, SimTime, StreamId};
@@ -91,11 +93,12 @@ fn run_client(
     let mut update_rng = MasterSeed(0xE20).stream(StreamId::Updates);
     let mut engine = UpdateEngine::new(n, 1e-3, &mut update_rng);
 
-    let handler: Box<dyn ReportHandler + Send> = if use_ts {
-        Box::new(TsHandler::new(latency, k))
+    let spec = if use_ts {
+        StaticSpec::ts(latency, k)
     } else {
-        Box::new(AtHandler::new(latency))
+        StaticSpec::at(latency)
     };
+    let handler: Box<dyn ReportHandler + Send> = Box::new(StaticHandler::new(spec));
     let mut client = mu(1, (0..25).collect(), handler);
     let mut srng = MasterSeed(2).stream(StreamId::Sleep { index: 1 });
     let mut qrng = MasterSeed(3).stream(StreamId::Custom { tag: 1 });

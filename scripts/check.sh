@@ -181,6 +181,9 @@ cargo test --release -q -p sw-experiments --test fig3_regression -- --ignored
 echo "==> bench smoke (criterion --test mode)"
 cargo bench -p sw-bench --bench hot_paths -- --test
 
+echo "==> bench smoke: report_pipeline (TS/AT/SIG report building and processing)"
+cargo bench -p sw-bench --bench report_pipeline -- --test
+
 echo "==> bench smoke A/B: faults compiled in must not touch the hot paths"
 cargo bench -p sw-bench --bench hot_paths --features faults -- --test
 
